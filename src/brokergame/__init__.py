@@ -28,7 +28,7 @@ from .filters import (FilterState, FlowFilterCoefficients, flow_filter_coefficie
 from .odes import (DeterministicTable, TimeGrid, riccati_constant_solution,
                    rk4_integrate, solve_scalar_riccati)
 from .params import DEFAULT_PARAMS, ModelParams
-from .sim import (CoefficientBundle, PathResult, StrategyConfig, benchmark_control,
+from .sim import (CoefficientBundle, PathResult, StrategyConfig,
                   build_coefficients, export_filter_csv, export_path_csv,
                   run_experiment, simulate_path, simulate_recorded)
 from .trader import (TraderCoefficients, export_trader_csv, solve_trader,

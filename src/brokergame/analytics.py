@@ -71,19 +71,10 @@ def one_sided_t_test(samples) -> TTestResult:
     return TTestResult(float(t), p, n, mean, std, flagged=False)
 
 
-def _trapz(y, dt):
-    y = np.asarray(y, dtype=float)
-    return float(dt * (y.sum() - 0.5 * (y[0] + y[-1])))
-
-
 def outperformance(path_opt, path_bench, scale: float = 1e6) -> float:
     """Wealth gap of the optimal arm over a benchmark arm (coupled noise),
     per ``scale`` dollars of the benchmark path's traded notional."""
-    dt = path_bench.grid.dt
-    traded = path_bench.price * (np.abs(path_bench.rate_broker)
-                                 + np.abs(path_bench.rate_trader)
-                                 + np.abs(path_bench.flow))
-    denom = _trapz(traded, dt)
+    denom = path_bench.notional
     if denom == 0.0:
         raise MetricUndefinedError("traded notional is zero; outperformance undefined")
     gap = path_opt.wealth_broker - path_bench.wealth_broker

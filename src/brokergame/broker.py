@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ExistenceError, IntegrationBlowupError
+from .filters import price_filter_gain
 from .odes import (DeterministicTable, TimeGrid, rk4_integrate,
                    solve_scalar_riccati, write_columns_csv)
 from .params import ModelParams
@@ -206,9 +207,7 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid
     full[:, 3, 3] = blk[:, 1, 1]
     g2 = DeterministicTable("g2", grid, full)
 
-    ss = params.sigma_price
-    gain = ((var_alpha.values + params.rho * ss * params.sigma_signal) / ss
-            if ss > 0.0 else np.zeros(grid.steps + 1))
+    gain = price_filter_gain(var_alpha.values, params) * params.sigma_price
     gain_sq = DeterministicTable("gain_sq", grid, gain * gain)
     with np.errstate(over="ignore"):
         flow_var = np.float64(params.sigma_flow) ** 2   # saturates to inf, never raises

@@ -44,17 +44,19 @@ class FilterState:
     kind: str = "trader_nu"   # trader_nu | broker_price | broker_flow
 
 
-def trader_filter_gain(var_nu_t: float, params: ModelParams) -> float:
-    """Innovation gain of the trader's speed filter."""
+def trader_filter_gain(var_nu_t, params: ModelParams):
+    """Innovation gain of the trader's speed filter, for a variance or an
+    array of them (zero without price noise)."""
     if params.sigma_price == 0.0:
-        return 0.0
+        return np.zeros_like(var_nu_t, dtype=float)
     return params.perm_impact * var_nu_t / params.sigma_price ** 2
 
 
-def price_filter_gain(var_alpha_t: float, params: ModelParams) -> float:
-    """Innovation gain of the broker's price-based signal filter."""
+def price_filter_gain(var_alpha_t, params: ModelParams):
+    """Innovation gain of the broker's price-based signal filter, for a
+    variance or an array of them (zero without price noise)."""
     if params.sigma_price == 0.0:
-        return 0.0
+        return np.zeros_like(var_alpha_t, dtype=float)
     return (var_alpha_t + params.rho * params.sigma_price * params.sigma_signal) \
         / params.sigma_price ** 2
 
@@ -99,15 +101,10 @@ class FlowFilterCoefficients:
     load_price: DeterministicTable     # diffusion loading on the price noise
     scale: DeterministicTable          # composite diffusion of the adjusted flow
     inv_scale: DeterministicTable
-    drift_signal_raw: DeterministicTable
-    drift_flow_raw: DeterministicTable
-    drift_rate_raw: DeterministicTable
-    drift_const_raw: DeterministicTable  # identically zero
     drift_scale: DeterministicTable      # -scale'/scale
     drift_signal: DeterministicTable     # signal drift of the unit-noise observation
     drift_flow: DeterministicTable
     drift_rate: DeterministicTable
-    drift_const: DeterministicTable      # identically zero
     noise_mix: DeterministicTable        # correlation loading of the composite noise
     unit_response: DeterministicTable    # speed loading per unit of permanent impact
     var_alt: DeterministicTable          # conditional variance of the flow filter
@@ -160,7 +157,6 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     inv_u[n] = inv_u[n - 1]   # true value diverges; only stand-in consumers see it
     g0 = -p * p * vv / ss ** 2 - inv_u - 0.5 * f3
     galpha = -1.0 / (2.0 * b) + f1 * p * p * vv / ss ** 2 + f1 * inv_u
-    galpha[n] = 0.0   # exact limit at the horizon
 
     # closed-form time derivatives of the diffusion loadings (no finite differences)
     g3p = sa * (-1.0 / (2.0 * b) + ka * f1 - 0.5 * f3 * f1)
@@ -196,10 +192,8 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     g6[n] = g6[n - 1]
     g8[n] = g8[n - 1]
     inv_g5[n] = inv_g5[n - 1]
-    g0[n] = g0[n - 1]
 
     tbl = lambda name, arr: DeterministicTable(name, grid, arr)
-    zeros = np.zeros(n + 1)
     drift_signal = tbl("drift_signal", g7)
     noise_mix = tbl("noise_mix", kmix)
 
@@ -215,15 +209,10 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
         load_price=tbl("load_price", g4),
         scale=tbl("scale", g5),
         inv_scale=tbl("inv_scale", inv_g5),
-        drift_signal_raw=tbl("drift_signal_raw", galpha),
-        drift_flow_raw=tbl("drift_flow_raw", g0),
-        drift_rate_raw=tbl("drift_rate_raw", g1),
-        drift_const_raw=tbl("drift_const_raw", zeros),
         drift_scale=tbl("drift_scale", g6),
         drift_signal=drift_signal,
         drift_flow=tbl("drift_flow", g8),
         drift_rate=tbl("drift_rate", g9),
-        drift_const=tbl("drift_const", zeros),
         noise_mix=noise_mix,
         unit_response=unit,
         var_alt=var_alt,

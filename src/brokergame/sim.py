@@ -2,13 +2,15 @@
 
 One Euler-Maruyama step advances price, signal, noise flow, both inventories,
 both cash accounts and every estimator, with controls held constant over each
-interval and computed from left-endpoint states.  Paths are vectorised: a
-batch carries one ndarray per state variable, and every path owns its own
-seeded random stream so results are independent of batch or thread layout.
+interval and computed from left-endpoint states.  Paths are vectorised, and
+every path owns its own seeded random stream so results are independent of
+batch or thread layout.
 
-Strategy arms (the broker's optimal rate and three benchmark rules) re-run
-the same path index with identical Gaussian increments, which is what makes
-the outperformance statistics tight.
+Every broker rule (the optimal rate, its inventory-unwind fallback and the
+three benchmarks) is a time-varying linear feedback table on one state,
+``(q_broker, alpha_est, flow, q_trader_belief, eta)``.  The strategy arms are
+stacked along a leading axis and advanced in a single pass on the same
+Gaussian increments, which is what makes the outperformance statistics tight.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .broker import BrokerCoefficients, solve_broker
 from .errors import ValidationError
-from .filters import FlowFilterCoefficients, flow_filter_coefficients
+from .filters import (FlowFilterCoefficients, flow_filter_coefficients, price_filter_gain,
+                      trader_filter_gain)
 from .odes import TimeGrid, write_columns_csv
 from .params import ModelParams
 from .trader import TraderCoefficients, solve_trader
@@ -33,7 +36,6 @@ __all__ = [
     "PathResult",
     "simulate_path",
     "simulate_recorded",
-    "benchmark_control",
     "run_experiment",
     "export_path_csv",
     "export_filter_csv",
@@ -94,22 +96,6 @@ def build_coefficients(params: ModelParams, grid: TimeGrid,
     return CoefficientBundle(trader, broker, flow)
 
 
-def benchmark_control(kind: int, t: float, eta: float, q_broker: float,
-                      flow: float, horizon: float, dt: float) -> float:
-    """Benchmark broker rates: 1 externalises the informed flow and unwinds
-    inventory linearly, 2 internalises everything and unwinds linearly,
-    3 externalises both client flows.  The unwind denominator is floored at
-    one step near the horizon."""
-    remaining = max(horizon - t, dt)
-    if kind == 1:
-        return eta - q_broker / remaining
-    if kind == 2:
-        return -q_broker / remaining
-    if kind == 3:
-        return eta + flow
-    raise ValidationError(f"unknown benchmark kind {kind!r}")
-
-
 @dataclass
 class PathResult:
     """Full record of one simulated path (every series has steps+1 nodes)."""
@@ -156,21 +142,16 @@ class _Tables:
         tr_model, br, fl = bundle.trader, bundle.broker, bundle.flow
         tr = trader_true if trader_true is not None else tr_model
         self.grid = tr.grid
-        n = self.grid.steps + 1
         # trader side (true dynamics of the client)
         self.f1 = tr.f1.values
         self.f2 = tr.f2.values
         self.f3 = tr.f3.values
-        ss = params_true.sigma_price
-        self.gain_nu = (params_true.perm_impact * tr.var_nu.values / ss ** 2
-                        if ss > 0.0 else np.zeros(n))
+        self.gain_nu = trader_filter_gain(tr.var_nu.values, params_true)
         self.theta_trader = params_true.theta_speed
         # broker side (her model of the client and of the signal)
         self.f1_belief = tr_model.f1.values
         self.f3_belief = tr_model.f3.values
-        self.gain_price = ((br.var_alpha.values
-                            + params_model.rho * ss * params_model.sigma_signal) / ss ** 2
-                           if ss > 0.0 else np.zeros(n))
+        self.gain_price = price_filter_gain(br.var_alpha.values, params_model)
         self.gains = br.gains.values
         self.kappa_model = params_model.kappa_signal
         if fl is not None:
@@ -184,6 +165,43 @@ class _Tables:
         else:
             self.inv_scale = None
         self.true = params_true
+
+
+def _arm_rules(tables: _Tables, config: StrategyConfig, modes) -> np.ndarray:
+    """Feedback rows of the broker's rate, shape (steps+1, arms, 5).
+
+    Arm ``a`` trades ``rules[k, a] . y`` at step ``k``, where ``y = (q_broker,
+    alpha_est, flow, q_trader_belief, eta)``.  The optimal rule reads its
+    gains; with a mispecified client inventory and a flow-derived signal
+    estimate it unwinds inventory over the last ``unwind_tail`` steps
+    instead.  Benchmark 1 externalises the informed flow and unwinds
+    inventory linearly, 2 internalises everything and unwinds linearly,
+    3 externalises both client flows.  The unwind denominator is floored at
+    one step near the horizon.
+    """
+    grid = tables.grid
+    n = grid.steps
+    unwind = -1.0 / np.maximum(grid.horizon - np.arange(n + 1) * grid.dt, grid.dt)
+    rules = np.zeros((n + 1, len(modes), 5))
+    for a, mode in enumerate(modes):
+        row = rules[:, a]
+        if mode == "optimal":
+            row[:, :4] = tables.gains
+            if config.mispecify_qi and config.signal_source in ("flow", "naive"):
+                tail = slice(max(n - config.unwind_tail, 0), None)
+                row[tail] = 0.0
+                row[tail, 0] = unwind[tail]
+        elif mode == "benchmark1":
+            row[:, 0] = unwind
+            row[:, 4] = 1.0
+        elif mode == "benchmark2":
+            row[:, 0] = unwind
+        elif mode == "benchmark3":
+            row[:, 2] = 1.0
+            row[:, 4] = 1.0
+        else:
+            raise ValidationError(f"broker mode must be one of {BROKER_MODES}, got {mode!r}")
+    return rules
 
 
 def _draw_noise(base_seed: int, path_indices, steps: int):
@@ -203,39 +221,43 @@ def _draw_noise(base_seed: int, path_indices, steps: int):
 
 
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
-                   q0_draw: np.ndarray, record: bool, init: dict | None = None):
-    """Advance a batch of paths; returns (metrics dict, records dict | None)."""
+                   q0_draw: np.ndarray, record: bool, init: dict | None = None,
+                   modes=None):
+    """Advance a batch of paths under every broker rule in ``modes`` (default:
+    the config's own ``broker_mode``), all on the same increments ``eps``.
+
+    Returns (metrics, records).  Every metric carries a leading arm axis,
+    ``(arms, paths)`` (``alt_naive_checkpoints``: ``(arms, 4, paths)``).
+    Records are None unless ``record``; each series is then
+    ``(steps+1, arms, paths)`` and ``components`` ``(steps+1, arms, 4, paths)``.
+    """
     p = tables.true
     grid = tables.grid
     n_steps = grid.steps
     dt = grid.dt
-    horizon = grid.horizon
     sqdt = math.sqrt(dt)
+    modes = (config.broker_mode,) if modes is None else tuple(modes)
     m = eps.shape[1]
-    mode = config.broker_mode
-    source = config.signal_source
-    optimal = mode == "optimal"
-    bench_kind = 0 if optimal else int(mode[-1])
+    arm_shape = (len(modes), m)
     has_flow = tables.inv_scale is not None
-    if source == "flow" and not has_flow:
+    if config.signal_source == "flow" and not has_flow:
         raise ValidationError("signal_source='flow' requires flow-filter coefficients")
-    track = optimal or record
-    track_flow = track and has_flow
-    override_from = (n_steps - config.unwind_tail
-                     if (config.mispecify_qi and optimal and source in ("flow", "naive"))
-                     else n_steps + 1)
+    weights = np.moveaxis(_arm_rules(tables, config, modes), 2, 0)[..., None]
+    w_q, w_a, w_f, w_qb, w_eta = weights
 
     rho = p.rho
     rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
     f1, f2, f3 = tables.f1, tables.f2, tables.f3
-    f1b, f3b = tables.f1_belief, tables.f3_belief
-    gains = tables.gains
+    f3b = tables.f3_belief
+    # the belief loadings vanish at the horizon: readouts reuse the last interior node
+    last = np.minimum(np.arange(n_steps + 1), n_steps - 1)
+    f1b_c, f3b_c = tables.f1_belief[last], f3b[last]
 
     init = init or {}
-    full = lambda key, default: np.full(m, float(init.get(key, default)))
+    full = lambda key, default, shape=arm_shape: np.full(shape, float(init.get(key, default)))
     price = full("price", p.price_init)
-    signal = full("signal", p.signal_init)
-    flow = full("flow", 0.0)
+    signal = full("signal", p.signal_init, m)
+    flow = full("flow", 0.0, m)
     q_b = full("q_broker", 0.0)
     q_i = full("q_trader", 0.0)
     if config.mispecify_qi:
@@ -245,98 +267,72 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     x_b = full("cash_broker", 0.0)
     x_i = full("cash_trader", 0.0)
     nu_hat = full("nu_hat", 0.0)
-    a_price = full("alpha_hat_price", 0.0)
-    a_flow = full("alpha_hat_flow", 0.0)
+    # the three signal estimates, updated in place so that the broker's
+    # estimate is picked once by signal_source
+    alphas = np.stack([full("alpha_hat_price", 0.0), full("alpha_hat_flow", 0.0),
+                       np.zeros(arm_shape)])
+    a_price, a_flow, a_naive = alphas
+    est = alphas[SIGNAL_SOURCES.index(config.signal_source)]
 
-    int_nu = np.zeros(m)
+    int_nu = np.zeros(arm_shape)
     int_xi = np.zeros(m)
-    int_cost_nu = np.zeros(m)
-    int_cost_xi = np.zeros(m)
-    notional = np.zeros(m)
-    inv_gap = np.zeros(m)
-    cash_gap = np.zeros(m)
-    mse_price = np.zeros(m)
-    mse_flow = np.zeros(m)
-    maxdiff = np.zeros(m)
-    n_check = 4
+    int_cost_nu = np.zeros(arm_shape)
+    int_cost_xi = np.zeros(arm_shape)
+    notional = np.zeros(arm_shape)
+    inv_gap = np.zeros(arm_shape)
+    cash_gap = np.zeros(arm_shape)
+    mse_price = np.zeros(arm_shape)
+    mse_flow = np.zeros(arm_shape)
+    maxdiff = np.zeros(arm_shape)
     check_idx = [n_steps // 4, n_steps // 2, (3 * n_steps) // 4, max(n_steps - 10, 0)]
-    checkpoints = np.zeros((n_check, m))
-    blown = np.zeros(m, dtype=bool)
-    blow_step = np.full(m, -1, dtype=np.int64)
+    checkpoints = np.zeros((len(modes), len(check_idx), m))
+    blown = np.zeros(arm_shape, dtype=bool)
+    blow_step = np.full(arm_shape, -1, dtype=np.int64)
 
     rec = None
     if record:
-        rec = {name: np.zeros((n_steps + 1, m)) for name in RECORD_SERIES}
-        rec["components"] = np.zeros((n_steps + 1, 4, m))
+        rec = {name: np.zeros((n_steps + 1,) + arm_shape) for name in RECORD_SERIES}
+        rec["components"] = np.zeros((n_steps + 1, len(modes), 4, m))
 
     eta = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
     gamma = eta - f3b[0] * q_ib
-    ztil = gamma * tables.inv_scale[0] if track_flow else None
+    a_naive[...] = gamma / f1b_c[0]
+    ztil = gamma * tables.inv_scale[0] if has_flow else None
     f_prev = None
-
-    def signal_est(k):
-        if source == "price":
-            return a_price
-        if source == "flow":
-            return a_flow
-        kk = min(k, n_steps - 1)
-        return gamma / f1b[kk]
-
-    def broker_rate(k, t):
-        if optimal:
-            if k >= override_from:
-                return -q_b / max(horizon - t, dt)
-            g = gains[k]
-            return g[0] * q_b + g[1] * signal_est(k) + g[2] * flow + g[3] * q_ib
-        return benchmark_control(bench_kind, t, eta, q_b, flow, horizon, dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            t = k * dt
-            nu = broker_rate(k, t)
+            nu = (w_q[k] * q_b + w_a[k] * est + w_f[k] * flow + w_qb[k] * q_ib
+                  + w_eta[k] * eta)
 
             if record:
-                r = rec
-                r["price"][k] = price
-                r["signal"][k] = signal
-                r["flow"][k] = flow
-                r["rate_broker"][k] = nu
-                r["rate_trader"][k] = eta
-                r["q_broker"][k] = q_b
-                r["q_trader"][k] = q_i
-                r["q_trader_belief"][k] = q_ib
-                r["cash_broker"][k] = x_b
-                r["cash_trader"][k] = x_i
-                r["nu_hat"][k] = nu_hat
-                r["alpha_hat_price"][k] = a_price
-                r["alpha_hat_flow"][k] = a_flow
-                r["alpha_hat_naive"][k] = gamma / f1b[min(k, n_steps - 1)]
-                if optimal:
-                    g = gains[k]
-                    r["components"][k, 0] = g[0] * q_b
-                    r["components"][k, 1] = g[1] * signal_est(k)
-                    r["components"][k, 2] = g[2] * flow
-                    r["components"][k, 3] = g[3] * q_ib
+                now = dict(price=price, signal=signal, flow=flow, rate_broker=nu,
+                           rate_trader=eta, q_broker=q_b, q_trader=q_i, q_trader_belief=q_ib,
+                           cash_broker=x_b, cash_trader=x_i, nu_hat=nu_hat,
+                           alpha_hat_price=a_price, alpha_hat_flow=a_flow,
+                           alpha_hat_naive=a_naive)
+                for name, value in now.items():
+                    rec[name][k] = value
+                for j, (w, y) in enumerate(zip(weights, (q_b, est, flow, q_ib))):
+                    rec["components"][k, :, j] = w[k] * y
 
             f_now = price * (np.abs(nu) + np.abs(eta) + np.abs(flow))
             if f_prev is not None:
                 notional += 0.5 * (f_prev + f_now) * dt
             f_prev = f_now
 
-            if track:
-                mse_price += (a_price - signal) ** 2
-                mse_flow += (a_flow - signal) ** 2
-                # divergence diagnostic: flow filter against the naive readout
-                # fed the TRUE inventory (clean reference; under a mispecified
-                # belief both belief-based estimates track the same
-                # contaminated flow and their gap would hide the blow-up)
-                kk = min(k, n_steps - 1)
-                diff = np.abs(a_flow - (eta - f3b[kk] * q_i) / f1b[kk])
-                if k <= n_steps - 10:
-                    maxdiff = np.fmax(maxdiff, diff)
-                for ci, ck in enumerate(check_idx):
-                    if k == ck:
-                        checkpoints[ci] = diff
+            mse_price += (a_price - signal) ** 2
+            mse_flow += (a_flow - signal) ** 2
+            # divergence diagnostic: flow filter against the naive readout
+            # fed the TRUE inventory (clean reference; under a mispecified
+            # belief both belief-based estimates track the same
+            # contaminated flow and their gap would hide the blow-up)
+            diff = np.abs(a_flow - (eta - f3b_c[k] * q_i) / f1b_c[k])
+            if k <= n_steps - 10:
+                maxdiff = np.fmax(maxdiff, diff)
+            for ci, ck in enumerate(check_idx):
+                if k == ck:
+                    checkpoints[:, ci] = diff
 
             if k == n_steps:
                 break
@@ -364,31 +360,29 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             dy = (price_new - price) - signal * dt
             nu_hat = (nu_hat - tables.theta_trader * nu_hat * dt
                       + tables.gain_nu[k] * (dy - p.perm_impact * nu_hat * dt))
-            if track:
-                dz = (price_new - price) - p.perm_impact * nu * dt
-                a_price = (a_price - tables.kappa_model * a_price * dt
-                           + tables.gain_price[k] * (dz - a_price * dt))
+            dz = (price_new - price) - p.perm_impact * nu * dt
+            a_price[...] = (a_price - tables.kappa_model * a_price * dt
+                            + tables.gain_price[k] * (dz - a_price * dt))
 
             price, signal, flow = price_new, signal_new, flow_new
 
             eta_next = f1[k + 1] * signal + f2[k + 1] * nu_hat + f3[k + 1] * q_i
             gamma_next = eta_next - f3b[k + 1] * q_ib
-            if track_flow:
+            if has_flow:
                 ztil_next = gamma_next * tables.inv_scale[k + 1]
                 dzf = (ztil_next - ztil) - (tables.g6[k] * ztil + tables.g8[k] * gamma
                                             + tables.g9[k] * nu) * dt
                 innov = dzf - tables.g7[k] * a_flow * dt
-                a_flow = (a_flow - tables.kappa_model * a_flow * dt
-                          + tables.gain_flow[k] * innov)
+                a_flow[...] = (a_flow - tables.kappa_model * a_flow * dt
+                               + tables.gain_flow[k] * innov)
                 ztil = ztil_next
             eta, gamma = eta_next, gamma_next
+            a_naive[...] = gamma / f1b_c[k + 1]
 
             inv_gap = np.fmax(inv_gap, np.abs(q_b - int_nu + (q_i - q_i0) + int_xi))
             cash_gap = np.fmax(cash_gap, np.abs(x_b + x_i + int_cost_nu - int_cost_xi))
 
-            probe = price + q_b + x_b + x_i + nu_hat
-            if track:
-                probe = probe + a_price + (a_flow if track_flow else 0.0)
+            probe = price + q_b + x_b + x_i + nu_hat + a_price + a_flow
             bad = ~np.isfinite(probe)
             fresh = bad & ~blown
             if np.any(fresh):
@@ -414,6 +408,12 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     return metrics, rec
 
 
+def _first_arm(metrics: dict, rec: dict):
+    """Drop the arm axis of a single-arm run: metrics (paths,), series (steps+1, paths)."""
+    return ({key: v[0] for key, v in metrics.items()},
+            {name: v[:, 0] for name, v in rec.items()})
+
+
 def simulate_path(params: ModelParams, trader: TraderCoefficients,
                   broker: BrokerCoefficients, flow: FlowFilterCoefficients | None,
                   config: StrategyConfig = StrategyConfig(), seed: int | None = None,
@@ -430,7 +430,8 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     tables = _Tables(params, model_params or params, bundle, trader_true)
     use_seed = config.seed if seed is None else int(seed)
     q0, eps = _draw_noise(use_seed, [0], trader.grid.steps)
-    metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
+    metrics, rec = _first_arm(*_simulate_core(tables, config, eps, q0, record=True,
+                                              init=init))
     series = {name: rec[name][:, 0].copy() for name in RECORD_SERIES}
     return PathResult(
         grid=trader.grid,
@@ -455,7 +456,7 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
     """Record full series for a (small) batch of paths; returns (metrics, records)."""
     tables = _Tables(params, model_params or params, bundle)
     q0, eps = _draw_noise(base_seed, range(n_paths), bundle.trader.grid.steps)
-    return _simulate_core(tables, config, eps, q0, record=True)
+    return _first_arm(*_simulate_core(tables, config, eps, q0, record=True))
 
 
 def _chunk_ranges(n: int, size: int):
@@ -469,13 +470,13 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
                    chunk_size: int = 2500, threads: int = 1):
     """Simulate the optimal strategy and all three benchmarks on coupled noise.
 
-    Every path index runs once per strategy arm with the same Gaussian
-    increments (seed ``base_seed ^ index``).  When ``model_params`` differs
-    from ``params``, the stressed values enter only the broker's coefficient
-    systems and filters; the client keeps the true coefficients and the
-    simulated dynamics keep the true parameters.  Returns an
-    :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
-    metric arrays keyed by arm name.
+    The four strategy arms advance together over each chunk of paths, on
+    the same Gaussian increments (seed ``base_seed ^ index``).  When
+    ``model_params`` differs from ``params``, the stressed values enter only
+    the broker's coefficient systems and filters; the client keeps the true
+    coefficients and the simulated dynamics keep the true parameters.
+    Returns an :class:`~brokergame.analytics.ExperimentReport` plus the raw
+    per-path metric arrays keyed by arm name.
     """
     from .analytics import build_experiment_report   # deferred: avoids module cycle
 
@@ -489,26 +490,13 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
         if mp is not params:
             trader_true = solve_trader(params, grid)
     tables = _Tables(params, mp, bundle, trader_true)
-    arms = ["optimal", "benchmark1", "benchmark2", "benchmark3"]
-    keys = ("wealth_broker", "notional", "blown", "blow_step", "max_inventory_gap",
-            "max_cash_gap", "mse_price", "mse_flow", "max_alt_naive_diff")
-    per_arm = {arm: {k: np.empty(n_paths, dtype=(bool if k == "blown" else
-                                                 (np.int64 if k == "blow_step" else float)))
-                     for k in keys} for arm in arms}
-    checkpoints = np.zeros((4, n_paths))
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
         q0, eps = _draw_noise(seed, range(lo, hi), grid.steps)
-        out = {}
-        for arm in arms:
-            cfg = StrategyConfig(
-                broker_mode=arm, signal_source=config.signal_source,
-                mispecify_qi=config.mispecify_qi, c_belief=config.c_belief,
-                seed=seed, unwind_tail=config.unwind_tail,
-            )
-            out[arm], _ = _simulate_core(tables, cfg, eps, q0, record=False)
-        return lo, hi, out
+        metrics, _ = _simulate_core(tables, config, eps, q0, record=False,
+                                    modes=BROKER_MODES)
+        return metrics
 
     ranges = _chunk_ranges(n_paths, max(1, chunk_size))
     if threads and threads > 1 and len(ranges) > 1:
@@ -516,12 +504,9 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
             results = list(pool.map(run_chunk, ranges))
     else:
         results = [run_chunk(r) for r in ranges]
-    for lo, hi, out in results:
-        for arm in arms:
-            for k in keys:
-                per_arm[arm][k][lo:hi] = out[arm][k]
-        checkpoints[:, lo:hi] = out["optimal"]["alt_naive_checkpoints"]
-    per_arm["optimal"]["alt_naive_checkpoints"] = checkpoints
+    per_arm = {arm: {key: np.concatenate([out[key][a] for out in results], axis=-1)
+                     for key in results[0]}
+               for a, arm in enumerate(BROKER_MODES)}
 
     report = build_experiment_report(per_arm, params=params, model_params=mp,
                                      config=config, n_paths=n_paths, base_seed=seed)

@@ -21,6 +21,7 @@ def _flat_path(grid, price, nu, eta, xi, wealth):
         rate_trader=np.full(n, float(eta)),
         flow=np.full(n, float(xi)),
         wealth_broker=float(wealth),
+        notional=float(price) * (abs(nu) + abs(eta) + abs(xi)) * grid.horizon,
     )
 
 

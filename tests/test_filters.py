@@ -75,12 +75,6 @@ def test_price_filter_one_step_arithmetic(params):
         assert abs(s.mean - ref) < 1e-15
 
 
-def test_flow_coeffs_zero_tables(bundle):
-    fl = bundle.flow
-    assert np.all(fl.drift_const_raw.values == 0.0)
-    assert np.all(fl.drift_const.values == 0.0)
-
-
 def test_flow_coeffs_noise_normalisation(params, bundle, grid1000):
     # with uncorrelated noises the two loadings are a unit vector
     fl = bundle.flow
@@ -130,7 +124,6 @@ def test_flow_coeffs_horizon_limits(params, bundle, grid1000):
     assert fl.drift_scale.at_index(n) == fl.drift_scale.at_index(n - 1)
     assert fl.drift_flow.at_index(n) == fl.drift_flow.at_index(n - 1)
     assert fl.inv_scale.at_index(n) == fl.inv_scale.at_index(n - 1)
-    assert fl.drift_signal_raw.at_index(n) == 0.0
 
 
 def test_flow_variance_constant_coefficient_oracle(grid1000):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brokergame as bg
-from brokergame.sim import CoefficientBundle, _draw_noise, benchmark_control
+from brokergame.sim import (BROKER_MODES, CoefficientBundle, _arm_rules, _draw_noise,
+                            _simulate_core, _Tables)
 
 
 def _zero_noise_params():
@@ -30,15 +31,32 @@ def test_inventory_and_cash_identities(bundle, params):
     assert res.max_cash_gap < 1e-8
 
 
-def test_benchmark_rate_formulas():
-    assert benchmark_control(3, 0.2, eta=2.0, q_broker=9.0, flow=-1.0,
-                             horizon=1.0, dt=1e-3) == 1.0
-    assert benchmark_control(2, 0.2, eta=5.0, q_broker=0.0, flow=3.0,
-                             horizon=1.0, dt=1e-3) == 0.0
-    assert benchmark_control(1, 0.5, eta=1.5, q_broker=1.0, flow=0.0,
-                             horizon=1.0, dt=1e-3) == 1.5 - 2.0
+def test_arm_rules_rows(params, grid200, bundle200):
+    # every rule is a feedback row on y = (q_broker, alpha_est, flow, q_trader_belief, eta);
+    # signs are chosen so no row's two nonzero terms cancel
+    tables = _Tables(params, params, bundle200)
+    n, dt, horizon = grid200.steps, grid200.dt, grid200.horizon
+    gains = bundle200.broker.gains.values
+    rng = np.random.default_rng(3)
+    for source, mis, tail, unwinds in (("flow", True, 10, True), ("naive", True, 3, True),
+                                       ("price", True, 10, False), ("flow", False, 10, False)):
+        cfg = bg.StrategyConfig(signal_source=source, mispecify_qi=mis, unwind_tail=tail)
+        rules = _arm_rules(tables, cfg, BROKER_MODES)
+        assert rules.shape == (n + 1, 4, 5)
+        for k in range(n + 1):
+            q, a, flow, qb, eta = np.abs(rng.standard_normal(5)) * (-1, 1, 1, 1, 1)
+            y = np.array([q, a, flow, qb, eta])
+            rem = max(horizon - k * dt, dt)
+            rate = rules[k] @ y
+            if unwinds and k >= n - tail:
+                assert np.count_nonzero(rules[k, 0]) == 1
+                assert rate[0] == pytest.approx(-q / rem, rel=1e-15, abs=0.0)
+            else:
+                assert np.array_equal(rules[k, 0], np.append(gains[k], 0.0))
+            expect = (eta - q / rem, -q / rem, eta + flow)
+            assert rate[1:] == pytest.approx(expect, rel=1e-15, abs=0.0)
     with pytest.raises(bg.ValidationError):
-        benchmark_control(4, 0.0, 0.0, 0.0, 0.0, 1.0, 1e-3)
+        _arm_rules(tables, bg.StrategyConfig(), ("benchmark4",))
 
 
 def test_twap_unwind_matches_closed_form(grid200):
@@ -202,3 +220,30 @@ def test_run_experiment_threads_match_serial(params, grid200, bundle200):
                                base_seed=3, bundle=bundle200, chunk_size=7, threads=2)
     assert np.array_equal(p1["optimal"]["wealth_broker"], p2["optimal"]["wealth_broker"])
     assert r1.benchmarks[2].mean == r2.benchmarks[2].mean
+
+
+@pytest.mark.parametrize("cfg", [dict(signal_source="price"), dict(signal_source="flow"),
+                                 dict(signal_source="flow", mispecify_qi=True)])
+def test_stacked_arms_match_single_arm_runs(params, grid200, bundle200, cfg):
+    # each arm of the stacked experiment pass equals a run of that arm alone
+    config = bg.StrategyConfig(**cfg)
+    _, per = bg.run_experiment(params, grid200, config, 30, base_seed=11,
+                               bundle=bundle200, chunk_size=13)
+    tables = _Tables(params, params, bundle200)
+    q0, eps = _draw_noise(11, range(30), grid200.steps)
+    for arm in BROKER_MODES:
+        single, _ = _simulate_core(tables, bg.StrategyConfig(broker_mode=arm, **cfg),
+                                   eps, q0, record=False)
+        assert set(single) == set(per[arm])
+        for key, value in single.items():
+            assert np.array_equal(per[arm][key], value[0]), (arm, key)
+
+
+@pytest.mark.parametrize("mode", BROKER_MODES)
+def test_notional_is_trapezoid_of_traded_value(bundle, params, grid1000, mode):
+    res = bg.simulate_path(params, bundle.trader, bundle.broker, bundle.flow,
+                           bg.StrategyConfig(broker_mode=mode), seed=44)
+    traded = res.price * (np.abs(res.rate_broker) + np.abs(res.rate_trader)
+                          + np.abs(res.flow))
+    ref = grid1000.dt * (traded.sum() - 0.5 * (traded[0] + traded[-1]))
+    assert res.notional == pytest.approx(ref, rel=1e-12, abs=0.0)
