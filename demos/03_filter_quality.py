@@ -26,7 +26,6 @@ n_paths = 400
 q0, eps = _draw_noise(2024, range(n_paths), grid.steps)
 clean, _ = _simulate_core(tables, bg.StrategyConfig(signal_source="flow"),
                           eps, q0, record=False)
-clean = {key: v[0] for key, v in clean.items()}   # the one arm run
 
 rmse_price = np.sqrt(clean["mse_price"])
 rmse_flow = np.sqrt(clean["mse_flow"])
@@ -39,7 +38,7 @@ print(f"median max |flow - naive| estimate gap       : "
 mis, _ = _simulate_core(tables,
                         bg.StrategyConfig(signal_source="flow", mispecify_qi=True),
                         eps, q0, record=False)
-cp = np.median(np.abs(mis["alt_naive_checkpoints"][0]), axis=1)
+cp = np.median(np.abs(mis["alt_naive_checkpoints"]), axis=1)
 print("with a hidden initial client inventory, the flow estimate drifts from")
 print("the clean reference as the horizon approaches (median abs gap):")
 for label, v in zip(("t=0.25", "t=0.50", "t=0.75", "t~T"), cp):

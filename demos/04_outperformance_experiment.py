@@ -2,7 +2,7 @@
 
 Benchmarks: (1) externalise the informed flow and unwind inventory linearly,
 (2) internalise everything and unwind linearly, (3) externalise both client
-flows.  All four strategies advance together on each path's noise, and the
+flows.  Every strategy runs on the same noise for each path, and the
 wealth gap is normalised per million dollars traded.
 
 This demo uses 2,000 paths for speed; the full 10,000-path runs live in the

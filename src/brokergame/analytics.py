@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
-from scipy import special as spc
 from scipy import stats as sps
 
 from .broker import BrokerCoefficients
@@ -47,7 +45,7 @@ SIGNIFICANCE_LEVEL = 1e-3   # cells below this are starred in stress tables
 @dataclass(frozen=True)
 class TTestResult:
     t_stat: float
-    p_value: Fraction        # exact, see one_sided_t_test
+    p_value: float
     n: int
     mean: float
     std: float
@@ -59,30 +57,17 @@ def one_sided_t_test(samples) -> TTestResult:
 
     Degenerate samples (fewer than two points, or zero dispersion) are not an
     error: they come back flagged with t = 0 and p = 0.5.
-
-    The p-value is an exact ``Fraction``, built from whichever of the two
-    masses P(0 < T < |t|) and P(T > |t|) is the smaller, each accurate to
-    double precision relative to its own size. In floating point 1/2 -+ a
-    small mass rounds to 1/2, and 1 - P(T > |t|) rounds to 1 once
-    t < -17 at 29 degrees of freedom, so distinct statistics would share a
-    p-value; the exact sum keeps p decreasing in t.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
     mean = float(x.mean()) if n else 0.0
     if n < 2:
-        return TTestResult(0.0, Fraction(1, 2), n, mean, 0.0, flagged=True)
+        return TTestResult(0.0, 0.5, n, mean, 0.0, flagged=True)
     std = float(x.std(ddof=1))
     if std == 0.0:
-        return TTestResult(0.0, Fraction(1, 2), n, mean, 0.0, flagged=True)
+        return TTestResult(0.0, 0.5, n, mean, 0.0, flagged=True)
     t = mean / (std / np.sqrt(n))
-    df = n - 1
-    tail = Fraction(float(sps.t.sf(abs(t), df)))
-    core = Fraction(float(0.5 * spc.betainc(0.5, 0.5 * df, t * t / (df + t * t))))
-    if core <= tail:
-        p = Fraction(1, 2) - core if t >= 0.0 else Fraction(1, 2) + core
-    else:
-        p = tail if t >= 0.0 else 1 - tail
+    p = float(sps.t.sf(t, n - 1))
     return TTestResult(float(t), p, n, mean, std, flagged=False)
 
 
@@ -163,7 +148,7 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
             / arm["notional"][valid] * 1e6
         tt = one_sided_t_test(out)
         benchmarks[i] = BenchmarkStats(
-            mean=tt.mean, std=tt.std, t_stat=tt.t_stat, p_value=float(tt.p_value),
+            mean=tt.mean, std=tt.std, t_stat=tt.t_stat, p_value=tt.p_value,
             n_effective=int(valid.sum()), n_excluded=int(n_paths - valid.sum()),
             flagged=tt.flagged,
         )

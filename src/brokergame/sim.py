@@ -1,23 +1,24 @@
 """Coupled market simulation and the Monte Carlo experiment driver.
 
 One Euler-Maruyama step advances price, signal, noise flow, both inventories,
-both cash accounts and every estimator, with controls held constant over each
+both cash accounts and the estimators, with controls held constant over each
 interval and computed from left-endpoint states.  Paths are vectorised, and
 every path owns its own seeded random stream so results are independent of
 batch or thread layout.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
-``(q_broker, alpha_est, flow, q_trader_belief, eta)``.  The strategy arms are
-stacked along a leading axis and advanced in a single pass on the same
-Gaussian increments, which is what makes the outperformance statistics tight.
+``(q_broker, alpha_est, flow, q_trader_belief, eta)``, so one step loop, with
+no branch on the rule, serves every arm.  The experiment runs each arm on the
+same Gaussian increments, which is what makes the outperformance statistics
+tight.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,7 +119,10 @@ class PathResult:
     alpha_hat_price: np.ndarray
     alpha_hat_flow: np.ndarray
     alpha_hat_naive: np.ndarray
-    components: np.ndarray           # (steps+1, 4) additive pieces of the rate
+    # (steps+1, 4) terms of the rate on q_broker, alpha_est, flow and
+    # q_trader_belief; benchmarks 1 and 3 also pass on rate_trader, which
+    # is not among them
+    components: np.ndarray
     wealth_broker: float             # cash + inventory marked at the last price
     wealth_trader: float
     notional: float                  # integral of price * (|nu|+|eta|+|xi|)
@@ -167,10 +171,10 @@ class _Tables:
         self.true = params_true
 
 
-def _arm_rules(tables: _Tables, config: StrategyConfig, modes) -> np.ndarray:
-    """Feedback rows of the broker's rate, shape (steps+1, arms, 5).
+def _broker_rule(tables: _Tables, config: StrategyConfig) -> np.ndarray:
+    """Feedback row of the broker's rate under ``config``, shape (steps+1, 5).
 
-    Arm ``a`` trades ``rules[k, a] . y`` at step ``k``, where ``y = (q_broker,
+    The broker trades ``rule[k] . y`` at step ``k``, where ``y = (q_broker,
     alpha_est, flow, q_trader_belief, eta)``.  The optimal rule reads its
     gains; with a mispecified client inventory and a flow-derived signal
     estimate it unwinds inventory over the last ``unwind_tail`` steps
@@ -182,26 +186,23 @@ def _arm_rules(tables: _Tables, config: StrategyConfig, modes) -> np.ndarray:
     grid = tables.grid
     n = grid.steps
     unwind = -1.0 / np.maximum(grid.horizon - np.arange(n + 1) * grid.dt, grid.dt)
-    rules = np.zeros((n + 1, len(modes), 5))
-    for a, mode in enumerate(modes):
-        row = rules[:, a]
-        if mode == "optimal":
-            row[:, :4] = tables.gains
-            if config.mispecify_qi and config.signal_source in ("flow", "naive"):
-                tail = slice(max(n - config.unwind_tail, 0), None)
-                row[tail] = 0.0
-                row[tail, 0] = unwind[tail]
-        elif mode == "benchmark1":
-            row[:, 0] = unwind
-            row[:, 4] = 1.0
-        elif mode == "benchmark2":
-            row[:, 0] = unwind
-        elif mode == "benchmark3":
-            row[:, 2] = 1.0
-            row[:, 4] = 1.0
-        else:
-            raise ValidationError(f"broker mode must be one of {BROKER_MODES}, got {mode!r}")
-    return rules
+    rule = np.zeros((n + 1, 5))
+    mode = config.broker_mode
+    if mode == "optimal":
+        rule[:, :4] = tables.gains
+        if config.mispecify_qi and config.signal_source in ("flow", "naive"):
+            tail = slice(max(n - config.unwind_tail, 0), None)
+            rule[tail] = 0.0
+            rule[tail, 0] = unwind[tail]
+    elif mode == "benchmark1":
+        rule[:, 0] = unwind
+        rule[:, 4] = 1.0
+    elif mode == "benchmark2":
+        rule[:, 0] = unwind
+    else:                                  # benchmark3
+        rule[:, 2] = 1.0
+        rule[:, 4] = 1.0
+    return rule
 
 
 def _draw_noise(base_seed: int, path_indices, steps: int):
@@ -221,29 +222,30 @@ def _draw_noise(base_seed: int, path_indices, steps: int):
 
 
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
-                   q0_draw: np.ndarray, record: bool, init: dict | None = None,
-                   modes=None):
-    """Advance a batch of paths under every broker rule in ``modes`` (default:
-    the config's own ``broker_mode``), all on the same increments ``eps``.
+                   q0_draw: np.ndarray, record: bool, init: dict | None = None):
+    """Advance a batch of paths under the config's broker rule.
 
-    Returns (metrics, records).  Every metric carries a leading arm axis,
-    ``(arms, paths)`` (``alt_naive_checkpoints``: ``(arms, 4, paths)``).
-    Records are None unless ``record``; each series is then
-    ``(steps+1, arms, paths)`` and ``components`` ``(steps+1, arms, 4, paths)``.
+    Returns (metrics, records): every metric is ``(paths,)``
+    (``alt_naive_checkpoints``: ``(4, paths)``); records are None unless
+    ``record``, and then each series is ``(steps+1, paths)`` and
+    ``components`` ``(steps+1, 4, paths)``.
     """
     p = tables.true
     grid = tables.grid
     n_steps = grid.steps
     dt = grid.dt
     sqdt = math.sqrt(dt)
-    modes = (config.broker_mode,) if modes is None else tuple(modes)
     m = eps.shape[1]
-    arm_shape = (len(modes), m)
     has_flow = tables.inv_scale is not None
     if config.signal_source == "flow" and not has_flow:
         raise ValidationError("signal_source='flow' requires flow-filter coefficients")
-    weights = np.moveaxis(_arm_rules(tables, config, modes), 2, 0)[..., None]
-    w_q, w_a, w_f, w_qb, w_eta = weights
+    rule = _broker_rule(tables, config).T
+    # the rate sums only the state columns the rule ever reads; the broker's
+    # filters and their diagnostics run when the rule reads the signal
+    # estimate or the series are recorded
+    active = [j for j in range(5) if rule[j].any()]
+    observe = record or 1 in active
+    source = SIGNAL_SOURCES.index(config.signal_source)
 
     rho = p.rho
     rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
@@ -254,10 +256,10 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     f1b_c, f3b_c = tables.f1_belief[last], f3b[last]
 
     init = init or {}
-    full = lambda key, default, shape=arm_shape: np.full(shape, float(init.get(key, default)))
+    full = lambda key, default: np.full(m, float(init.get(key, default)))
     price = full("price", p.price_init)
-    signal = full("signal", p.signal_init, m)
-    flow = full("flow", 0.0, m)
+    signal = full("signal", p.signal_init)
+    flow = full("flow", 0.0)
     q_b = full("q_broker", 0.0)
     q_i = full("q_trader", 0.0)
     if config.mispecify_qi:
@@ -267,43 +269,43 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     x_b = full("cash_broker", 0.0)
     x_i = full("cash_trader", 0.0)
     nu_hat = full("nu_hat", 0.0)
-    # the three signal estimates, updated in place so that the broker's
-    # estimate is picked once by signal_source
-    alphas = np.stack([full("alpha_hat_price", 0.0), full("alpha_hat_flow", 0.0),
-                       np.zeros(arm_shape)])
-    a_price, a_flow, a_naive = alphas
-    est = alphas[SIGNAL_SOURCES.index(config.signal_source)]
+    a_price = full("alpha_hat_price", 0.0)
+    a_flow = full("alpha_hat_flow", 0.0)
 
-    int_nu = np.zeros(arm_shape)
+    int_nu = np.zeros(m)
     int_xi = np.zeros(m)
-    int_cost_nu = np.zeros(arm_shape)
-    int_cost_xi = np.zeros(arm_shape)
-    notional = np.zeros(arm_shape)
-    inv_gap = np.zeros(arm_shape)
-    cash_gap = np.zeros(arm_shape)
-    mse_price = np.zeros(arm_shape)
-    mse_flow = np.zeros(arm_shape)
-    maxdiff = np.zeros(arm_shape)
+    int_cost_nu = np.zeros(m)
+    int_cost_xi = np.zeros(m)
+    notional = np.zeros(m)
+    inv_gap = np.zeros(m)
+    cash_gap = np.zeros(m)
+    mse_price = np.zeros(m)
+    mse_flow = np.zeros(m)
+    maxdiff = np.zeros(m)
     check_idx = [n_steps // 4, n_steps // 2, (3 * n_steps) // 4, max(n_steps - 10, 0)]
-    checkpoints = np.zeros((len(modes), len(check_idx), m))
-    blown = np.zeros(arm_shape, dtype=bool)
-    blow_step = np.full(arm_shape, -1, dtype=np.int64)
+    checkpoints = np.zeros((len(check_idx), m))
+    blown = np.zeros(m, dtype=bool)
+    blow_step = np.full(m, -1, dtype=np.int64)
 
     rec = None
     if record:
-        rec = {name: np.zeros((n_steps + 1,) + arm_shape) for name in RECORD_SERIES}
-        rec["components"] = np.zeros((n_steps + 1, len(modes), 4, m))
+        rec = {name: np.zeros((n_steps + 1, m)) for name in RECORD_SERIES}
+        rec["components"] = np.zeros((n_steps + 1, 4, m))
 
     eta = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
     gamma = eta - f3b[0] * q_ib
-    a_naive[...] = gamma / f1b_c[0]
     ztil = gamma * tables.inv_scale[0] if has_flow else None
+    a_naive = None
     f_prev = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            nu = (w_q[k] * q_b + w_a[k] * est + w_f[k] * flow + w_qb[k] * q_ib
-                  + w_eta[k] * eta)
+            if observe:
+                a_naive = gamma / f1b_c[k]
+            y = (q_b, (a_price, a_flow, a_naive)[source], flow, q_ib, eta)
+            nu = rule[active[0], k] * y[active[0]]
+            for j in active[1:]:
+                nu = nu + rule[j, k] * y[j]
 
             if record:
                 now = dict(price=price, signal=signal, flow=flow, rate_broker=nu,
@@ -313,26 +315,27 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                            alpha_hat_naive=a_naive)
                 for name, value in now.items():
                     rec[name][k] = value
-                for j, (w, y) in enumerate(zip(weights, (q_b, est, flow, q_ib))):
-                    rec["components"][k, :, j] = w[k] * y
+                for j in range(4):
+                    rec["components"][k, j] = rule[j, k] * y[j]
 
             f_now = price * (np.abs(nu) + np.abs(eta) + np.abs(flow))
             if f_prev is not None:
                 notional += 0.5 * (f_prev + f_now) * dt
             f_prev = f_now
 
-            mse_price += (a_price - signal) ** 2
-            mse_flow += (a_flow - signal) ** 2
-            # divergence diagnostic: flow filter against the naive readout
-            # fed the TRUE inventory (clean reference; under a mispecified
-            # belief both belief-based estimates track the same
-            # contaminated flow and their gap would hide the blow-up)
-            diff = np.abs(a_flow - (eta - f3b_c[k] * q_i) / f1b_c[k])
-            if k <= n_steps - 10:
-                maxdiff = np.fmax(maxdiff, diff)
-            for ci, ck in enumerate(check_idx):
-                if k == ck:
-                    checkpoints[:, ci] = diff
+            if observe:
+                mse_price += (a_price - signal) ** 2
+                mse_flow += (a_flow - signal) ** 2
+                # divergence diagnostic: flow filter against the naive readout
+                # fed the TRUE inventory (clean reference; under a mispecified
+                # belief both belief-based estimates track the same
+                # contaminated flow and their gap would hide the blow-up)
+                diff = np.abs(a_flow - (eta - f3b_c[k] * q_i) / f1b_c[k])
+                if k <= n_steps - 10:
+                    maxdiff = np.fmax(maxdiff, diff)
+                for ci, ck in enumerate(check_idx):
+                    if k == ck:
+                        checkpoints[ci] = diff
 
             if k == n_steps:
                 break
@@ -345,47 +348,47 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             signal_new = signal - p.kappa_signal * signal * dt + p.sigma_signal * dwa
             flow_new = flow - p.kappa_flow * flow * dt + p.sigma_flow * dwu
 
+            cost_nu = nu * (price + p.temp_impact * nu)
+            cost_eta = eta * (price + p.fee_informed * eta)
+            cost_xi = flow * (price + p.fee_uninformed * flow)
             int_nu += nu * dt
             int_xi += flow * dt
-            int_cost_nu += nu * (price + p.temp_impact * nu) * dt
-            int_cost_xi += flow * (price + p.fee_uninformed * flow) * dt
-            x_b += (-nu * (price + p.temp_impact * nu)
-                    + eta * (price + p.fee_informed * eta)
-                    + flow * (price + p.fee_uninformed * flow)) * dt
-            x_i += -eta * (price + p.fee_informed * eta) * dt
+            int_cost_nu += cost_nu * dt
+            int_cost_xi += cost_xi * dt
+            x_b += (cost_eta - cost_nu + cost_xi) * dt
+            x_i -= cost_eta * dt
             q_b += (nu - eta - flow) * dt
             q_i += eta * dt
             q_ib += eta * dt
 
-            dy = (price_new - price) - signal * dt
+            dprice = price_new - price
+            dy = dprice - signal * dt
             nu_hat = (nu_hat - tables.theta_trader * nu_hat * dt
                       + tables.gain_nu[k] * (dy - p.perm_impact * nu_hat * dt))
-            dz = (price_new - price) - p.perm_impact * nu * dt
-            a_price[...] = (a_price - tables.kappa_model * a_price * dt
-                            + tables.gain_price[k] * (dz - a_price * dt))
-
             price, signal, flow = price_new, signal_new, flow_new
 
             eta_next = f1[k + 1] * signal + f2[k + 1] * nu_hat + f3[k + 1] * q_i
             gamma_next = eta_next - f3b[k + 1] * q_ib
-            if has_flow:
-                ztil_next = gamma_next * tables.inv_scale[k + 1]
-                dzf = (ztil_next - ztil) - (tables.g6[k] * ztil + tables.g8[k] * gamma
-                                            + tables.g9[k] * nu) * dt
-                innov = dzf - tables.g7[k] * a_flow * dt
-                a_flow[...] = (a_flow - tables.kappa_model * a_flow * dt
-                               + tables.gain_flow[k] * innov)
-                ztil = ztil_next
+            if observe:
+                dz = dprice - p.perm_impact * nu * dt
+                a_price = (a_price - tables.kappa_model * a_price * dt
+                           + tables.gain_price[k] * (dz - a_price * dt))
+                if has_flow:
+                    ztil_next = gamma_next * tables.inv_scale[k + 1]
+                    dzf = (ztil_next - ztil) - (tables.g6[k] * ztil + tables.g8[k] * gamma
+                                                + tables.g9[k] * nu) * dt
+                    innov = dzf - tables.g7[k] * a_flow * dt
+                    a_flow = (a_flow - tables.kappa_model * a_flow * dt
+                              + tables.gain_flow[k] * innov)
+                    ztil = ztil_next
             eta, gamma = eta_next, gamma_next
-            a_naive[...] = gamma / f1b_c[k + 1]
 
             inv_gap = np.fmax(inv_gap, np.abs(q_b - int_nu + (q_i - q_i0) + int_xi))
             cash_gap = np.fmax(cash_gap, np.abs(x_b + x_i + int_cost_nu - int_cost_xi))
 
             probe = price + q_b + x_b + x_i + nu_hat + a_price + a_flow
-            bad = ~np.isfinite(probe)
-            fresh = bad & ~blown
-            if np.any(fresh):
+            if not np.isfinite(probe).all():
+                fresh = ~np.isfinite(probe) & ~blown
                 blow_step[fresh] = k + 1
                 blown |= fresh
 
@@ -408,12 +411,6 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     return metrics, rec
 
 
-def _first_arm(metrics: dict, rec: dict):
-    """Drop the arm axis of a single-arm run: metrics (paths,), series (steps+1, paths)."""
-    return ({key: v[0] for key, v in metrics.items()},
-            {name: v[:, 0] for name, v in rec.items()})
-
-
 def simulate_path(params: ModelParams, trader: TraderCoefficients,
                   broker: BrokerCoefficients, flow: FlowFilterCoefficients | None,
                   config: StrategyConfig = StrategyConfig(), seed: int | None = None,
@@ -430,8 +427,7 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     tables = _Tables(params, model_params or params, bundle, trader_true)
     use_seed = config.seed if seed is None else int(seed)
     q0, eps = _draw_noise(use_seed, [0], trader.grid.steps)
-    metrics, rec = _first_arm(*_simulate_core(tables, config, eps, q0, record=True,
-                                              init=init))
+    metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
     series = {name: rec[name][:, 0].copy() for name in RECORD_SERIES}
     return PathResult(
         grid=trader.grid,
@@ -456,7 +452,7 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
     """Record full series for a (small) batch of paths; returns (metrics, records)."""
     tables = _Tables(params, model_params or params, bundle)
     q0, eps = _draw_noise(base_seed, range(n_paths), bundle.trader.grid.steps)
-    return _first_arm(*_simulate_core(tables, config, eps, q0, record=True))
+    return _simulate_core(tables, config, eps, q0, record=True)
 
 
 def _chunk_ranges(n: int, size: int):
@@ -470,13 +466,13 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
                    chunk_size: int = 2500, threads: int = 1):
     """Simulate the optimal strategy and all three benchmarks on coupled noise.
 
-    The four strategy arms advance together over each chunk of paths, on
-    the same Gaussian increments (seed ``base_seed ^ index``).  When
-    ``model_params`` differs from ``params``, the stressed values enter only
-    the broker's coefficient systems and filters; the client keeps the true
-    coefficients and the simulated dynamics keep the true parameters.
-    Returns an :class:`~brokergame.analytics.ExperimentReport` plus the raw
-    per-path metric arrays keyed by arm name.
+    Every chunk of paths runs once per strategy arm on the same Gaussian
+    increments (seed ``base_seed ^ index``).  When ``model_params`` differs
+    from ``params``, the stressed values enter only the broker's coefficient
+    systems and filters; the client keeps the true coefficients and the
+    simulated dynamics keep the true parameters.  Returns an
+    :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
+    metric arrays keyed by arm name.
     """
     from .analytics import build_experiment_report   # deferred: avoids module cycle
 
@@ -490,13 +486,13 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
         if mp is not params:
             trader_true = solve_trader(params, grid)
     tables = _Tables(params, mp, bundle, trader_true)
+    arm_configs = [replace(config, broker_mode=arm) for arm in BROKER_MODES]
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
         q0, eps = _draw_noise(seed, range(lo, hi), grid.steps)
-        metrics, _ = _simulate_core(tables, config, eps, q0, record=False,
-                                    modes=BROKER_MODES)
-        return metrics
+        return [_simulate_core(tables, arm_config, eps, q0, record=False)[0]
+                for arm_config in arm_configs]
 
     ranges = _chunk_ranges(n_paths, max(1, chunk_size))
     if threads and threads > 1 and len(ranges) > 1:
@@ -504,8 +500,8 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
             results = list(pool.map(run_chunk, ranges))
     else:
         results = [run_chunk(r) for r in ranges]
-    per_arm = {arm: {key: np.concatenate([out[key][a] for out in results], axis=-1)
-                     for key in results[0]}
+    per_arm = {arm: {key: np.concatenate([out[a][key] for out in results], axis=-1)
+                     for key in results[0][a]}
                for a, arm in enumerate(BROKER_MODES)}
 
     report = build_experiment_report(per_arm, params=params, model_params=mp,
@@ -515,7 +511,11 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
 
 def export_path_csv(result: PathResult, path_or_file, bands: dict | None = None) -> None:
     """Full state/control/estimate time series of one path; optional extra
-    percentile-band columns (name -> array) appended on the right."""
+    percentile-band columns (name -> array) appended on the right.
+
+    The ``comp_*`` columns are ``result.components``: they sum to
+    ``rate_broker`` except on benchmarks 1 and 3, whose rate adds
+    ``rate_trader``."""
     header = ["t"] + list(RECORD_SERIES) + [
         "comp_inventory", "comp_signal", "comp_flow", "comp_qtrader",
     ]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brokergame as bg
-from brokergame.sim import (BROKER_MODES, CoefficientBundle, _arm_rules, _draw_noise,
+from brokergame.sim import (BROKER_MODES, CoefficientBundle, _broker_rule, _draw_noise,
                             _simulate_core, _Tables)
 
 
@@ -31,7 +31,7 @@ def test_inventory_and_cash_identities(bundle, params):
     assert res.max_cash_gap < 1e-8
 
 
-def test_arm_rules_rows(params, grid200, bundle200):
+def test_broker_rule_rows(params, grid200, bundle200):
     # every rule is a feedback row on y = (q_broker, alpha_est, flow, q_trader_belief, eta);
     # signs are chosen so no row's two nonzero terms cancel
     tables = _Tables(params, params, bundle200)
@@ -40,23 +40,24 @@ def test_arm_rules_rows(params, grid200, bundle200):
     rng = np.random.default_rng(3)
     for source, mis, tail, unwinds in (("flow", True, 10, True), ("naive", True, 3, True),
                                        ("price", True, 10, False), ("flow", False, 10, False)):
-        cfg = bg.StrategyConfig(signal_source=source, mispecify_qi=mis, unwind_tail=tail)
-        rules = _arm_rules(tables, cfg, BROKER_MODES)
-        assert rules.shape == (n + 1, 4, 5)
+        rules = [_broker_rule(tables, bg.StrategyConfig(broker_mode=mode, signal_source=source,
+                                                        mispecify_qi=mis, unwind_tail=tail))
+                 for mode in BROKER_MODES]
+        assert all(rule.shape == (n + 1, 5) for rule in rules)
         for k in range(n + 1):
             q, a, flow, qb, eta = np.abs(rng.standard_normal(5)) * (-1, 1, 1, 1, 1)
             y = np.array([q, a, flow, qb, eta])
             rem = max(horizon - k * dt, dt)
-            rate = rules[k] @ y
+            rate = [rule[k] @ y for rule in rules]
             if unwinds and k >= n - tail:
-                assert np.count_nonzero(rules[k, 0]) == 1
+                assert np.count_nonzero(rules[0][k]) == 1
                 assert rate[0] == pytest.approx(-q / rem, rel=1e-15, abs=0.0)
             else:
-                assert np.array_equal(rules[k, 0], np.append(gains[k], 0.0))
+                assert np.array_equal(rules[0][k], np.append(gains[k], 0.0))
             expect = (eta - q / rem, -q / rem, eta + flow)
             assert rate[1:] == pytest.approx(expect, rel=1e-15, abs=0.0)
     with pytest.raises(bg.ValidationError):
-        _arm_rules(tables, bg.StrategyConfig(), ("benchmark4",))
+        bg.StrategyConfig(broker_mode="benchmark4")
 
 
 def test_twap_unwind_matches_closed_form(grid200):
@@ -224,8 +225,8 @@ def test_run_experiment_threads_match_serial(params, grid200, bundle200):
 
 @pytest.mark.parametrize("cfg", [dict(signal_source="price"), dict(signal_source="flow"),
                                  dict(signal_source="flow", mispecify_qi=True)])
-def test_stacked_arms_match_single_arm_runs(params, grid200, bundle200, cfg):
-    # each arm of the stacked experiment pass equals a run of that arm alone
+def test_experiment_arms_match_single_arm_runs(params, grid200, bundle200, cfg):
+    # each arm of the chunked experiment equals a run of that arm on all paths at once
     config = bg.StrategyConfig(**cfg)
     _, per = bg.run_experiment(params, grid200, config, 30, base_seed=11,
                                bundle=bundle200, chunk_size=13)
@@ -236,7 +237,7 @@ def test_stacked_arms_match_single_arm_runs(params, grid200, bundle200, cfg):
                                    eps, q0, record=False)
         assert set(single) == set(per[arm])
         for key, value in single.items():
-            assert np.array_equal(per[arm][key], value[0]), (arm, key)
+            assert np.array_equal(per[arm][key], value), (arm, key)
 
 
 @pytest.mark.parametrize("mode", BROKER_MODES)
