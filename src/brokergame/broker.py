@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ExistenceError, IntegrationBlowupError
 from .filters import price_filter_gain
-from .odes import (DeterministicTable, TimeGrid, rk4_integrate,
+from .odes import (DeterministicTable, StageLattice, TimeGrid, rk4_integrate,
                    solve_scalar_riccati, write_columns_csv)
 from .params import ModelParams
 from .trader import TraderCoefficients
@@ -71,34 +71,57 @@ def solve_price_filter_variance(params: ModelParams, grid: TimeGrid) -> Determin
     )
 
 
+def _stacked(shape, *entries):
+    """Numbers and equally shaped arrays broadcast against each other and laid
+    out row-major in trailing axes of ``shape``."""
+    flat = np.broadcast_arrays(*entries)
+    return np.stack(flat, axis=-1).reshape(flat[0].shape + shape)
+
+
+def _transpose(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def _outer(x, y):
+    return x[..., :, None] * y[..., None, :]
+
+
 def _p_matrices(f1, f2, f3, vb, params: ModelParams, c_belief: float):
-    """State matrices at one instant.  The broker plugs her belief about how
-    strongly her own speed feeds the client's rate in for f2 everywhere."""
+    """State matrices (P2, P5, P7, P8) and sqrt(temp_impact - fee*(c f2)^2)
+    at one instant, or stacked along the leading axis of the inputs.  The
+    broker plugs her belief about how strongly her own speed feeds the
+    client's rate in for f2 everywhere."""
     a = params.temp_impact
     b = params.fee_informed
     p = params.perm_impact
     e = c_belief * f2
     d = a - e * e * b
-    if d <= 0.0:
+    if np.any(d <= 0.0):
         raise AdmissibilityError(
-            f"temp_impact - fee_informed * (c*f2)^2 = {d:.3e} <= 0: control undefined"
+            f"temp_impact - fee_informed * (c*f2)^2 = {np.min(d):.3e} <= 0: control undefined"
         )
     sq = np.sqrt(d)
-    p2 = np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [-f1, -params.kappa_signal, 0.0, f1],
-        [-1.0, 0.0, -params.kappa_flow, 0.0],
-        [-f3, 0.0, 0.0, f3],
-    ])
-    p5 = np.array([
-        [-(params.phi0_broker + params.phi1_broker * vb), 0.5, 0.0, 0.0],
-        [0.5, f1 * f1 * b, 0.0, f1 * f3 * b],
-        [0.0, 0.0, params.fee_uninformed, 0.0],
-        [0.0, f1 * f3 * b, 0.0, f3 * f3 * b],
-    ])
-    p7 = np.array([p / (2.0 * sq), f1 * e * b / sq, 0.0, e * f3 * b / sq])
-    p8 = np.array([(1.0 - e) / (2.0 * sq), 0.0, 0.0, e / (2.0 * sq)])
+    p2 = _stacked(
+        (4, 4),
+        0.0, 0.0, 0.0, 0.0,
+        -f1, -params.kappa_signal, 0.0, f1,
+        -1.0, 0.0, -params.kappa_flow, 0.0,
+        -f3, 0.0, 0.0, f3,
+    )
+    p5 = _stacked(
+        (4, 4),
+        -(params.phi0_broker + params.phi1_broker * vb), 0.5, 0.0, 0.0,
+        0.5, f1 * f1 * b, 0.0, f1 * f3 * b,
+        0.0, 0.0, params.fee_uninformed, 0.0,
+        0.0, f1 * f3 * b, 0.0, f3 * f3 * b,
+    )
+    p7 = _stacked((4,), p / (2.0 * sq), f1 * e * b / sq, 0.0, e * f3 * b / sq)
+    p8 = _stacked((4,), (1.0 - e) / (2.0 * sq), 0.0, 0.0, e / (2.0 * sq))
     return p2, p5, p7, p8, sq
+
+
+def _p9(p2, p7, p8):
+    return 2.0 * _outer(p8, p7) + _transpose(p2)
 
 
 def build_p_matrices(t: float, trader: TraderCoefficients,
@@ -108,30 +131,34 @@ def build_p_matrices(t: float, trader: TraderCoefficients,
     p2, p5, p7, p8, _ = _p_matrices(
         trader.f1(t), trader.f2(t), trader.f3(t), var_alpha(t), params, c_belief
     )
-    p9 = 2.0 * np.outer(p8, p7) + p2.T
-    return p2, p5, p7, p8, p9
+    return p2, p5, p7, p8, _p9(p2, p7, p8)
 
 
 def _reduced_uvb(f2, f3, vb, params: ModelParams, c_belief: float):
-    """U, V, B of the reduced (q_broker, q_trader) Riccati block."""
+    """U, V, B of the reduced (q_broker, q_trader) Riccati block, at one
+    instant or stacked along the leading axis of the inputs."""
     a = params.temp_impact
     b = params.fee_informed
     p = params.perm_impact
     e = c_belief * f2
     d = a - e * e * b
-    if d <= 0.0:
-        raise AdmissibilityError(f"temp_impact - fee_informed * (c*f2)^2 = {d:.3e} <= 0")
-    w = np.array([1.0 - e, e])
-    u = np.outer(w, w) / d
-    v = np.array([
-        [p * (1.0 - e) / 2.0, -f3 * (a - e * b)],
-        [p * e / 2.0, a * f3],
-    ]) / d
+    if np.any(d <= 0.0):
+        raise AdmissibilityError(
+            f"temp_impact - fee_informed * (c*f2)^2 = {np.min(d):.3e} <= 0")
+    w = _stacked((2,), 1.0 - e, e)
+    dd = np.asarray(d)[..., None, None]
+    u = _outer(w, w) / dd
+    v = _stacked(
+        (2, 2),
+        p * (1.0 - e) / 2.0, -f3 * (a - e * b),
+        p * e / 2.0, a * f3,
+    ) / dd
     run_pen = params.phi0_broker + params.phi1_broker * vb
-    bmat = np.array([
-        [p * p / 4.0 - d * run_pen, p * e * f3 * b / 2.0],
-        [p * e * f3 * b / 2.0, f3 * f3 * a * b],
-    ]) / d
+    bmat = _stacked(
+        (2, 2),
+        p * p / 4.0 - d * run_pen, p * e * f3 * b / 2.0,
+        p * e * f3 * b / 2.0, f3 * f3 * a * b,
+    ) / dd
     return u, v, bmat
 
 
@@ -146,14 +173,19 @@ def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
     terminal = np.zeros((2, 2))
     terminal[0, 0] = -(params.beta0_broker
                        + params.beta1_broker * var_alpha.at_index(grid.steps))
+    lattice = StageLattice(grid, substeps=2, direction="backward")
+    at = lattice.index
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v, bmat = _reduced_uvb(*(x(lattice.times) for x in (trader.f2, trader.f3, var_alpha)),
+                                  params, c_belief)
 
     def rhs(t, g):
-        u, v, bmat = _reduced_uvb(trader.f2(t), trader.f3(t), var_alpha(t), params, c_belief)
-        lin = g @ v
-        return -(g @ u @ g + lin + lin.T + bmat)
+        i = at(t)
+        lin = g @ v[i]
+        return -(g @ u[i] @ g + lin + lin.T + bmat[i])
 
-    return rk4_integrate(rhs, terminal, grid, direction="backward",
-                         project=_symmetrize, name="g2_block", substeps=2)
+    return rk4_integrate(rhs, terminal, grid, direction=lattice.direction,
+                         project=_symmetrize, name="g2_block", substeps=lattice.substeps)
 
 
 def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid,
@@ -172,19 +204,25 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid
     terminal = np.zeros((4, 4))
     terminal[0, 0] = -(params.beta0_broker
                        + params.beta1_broker * var_alpha.at_index(grid.steps))
+    lattice = StageLattice(grid, substeps=2, direction="backward")
+    at = lattice.index
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2, p5, p7, p8, _ = _p_matrices(
+            *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)), params, c)
+        p9 = _p9(p2, p7, p8)
+    # P2 only feeds P9; freed before the march it leaves no heap memory
+    # pinned behind the build (2-3 MB of process peak when kept)
+    del p2
 
     def rhs(t, g):
-        p2, p5, p7, p8, _ = _p_matrices(
-            trader.f1(t), trader.f2(t), trader.f3(t), var_alpha(t), params, c
-        )
-        p9 = 2.0 * np.outer(p8, p7) + p2.T
-        gv = g @ p8
-        lin = g @ p9
-        return -(np.outer(p7, p7) + 4.0 * np.outer(gv, gv) + lin + lin.T + p5)
+        i = at(t)
+        gv = g @ p8[i]
+        lin = g @ p9[i]
+        return -(np.outer(p7[i], p7[i]) + 4.0 * np.outer(gv, gv) + lin + lin.T + p5[i])
 
     try:
-        g2_full = rk4_integrate(rhs, terminal, grid, direction="backward",
-                                project=_symmetrize, name="g2", substeps=2)
+        g2_full = rk4_integrate(rhs, terminal, grid, direction=lattice.direction,
+                                project=_symmetrize, name="g2", substeps=lattice.substeps)
         g2_block = solve_reduced_riccati(params, trader, var_alpha, grid, c)
     except IntegrationBlowupError as exc:
         raise ExistenceError(
@@ -209,44 +247,28 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid
 
     gain = price_filter_gain(var_alpha.values, params) * params.sigma_price
     gain_sq = DeterministicTable("gain_sq", grid, gain * gain)
-    with np.errstate(over="ignore"):
+    nodes = StageLattice(grid, direction="backward")
+    g2s, gain_sqs = g2(nodes.times), gain_sq(nodes.times)
+    with np.errstate(over="ignore", invalid="ignore"):
         flow_var = np.float64(params.sigma_flow) ** 2   # saturates to inf, never raises
+        source = -(gain_sqs * g2s[:, 1, 1] + flow_var * g2s[:, 2, 2])
 
-    def g0_rhs(t, y):
-        g22 = g2(t)
-        return -(gain_sq(t) * g22[1, 1] + flow_var * g22[2, 2])
+    g0 = rk4_integrate(lambda t, y: source[nodes.index(t)], 0.0, grid,
+                       direction=nodes.direction, name="g0")
 
-    g0 = rk4_integrate(g0_rhs, 0.0, grid, direction="backward", name="g0")
-
-    gains = _feedback_gain_table(params, trader, g2, grid, c)
+    gains = _feedback_gain_table(params, trader, var_alpha, g2, c)
     eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid, c)
     return BrokerCoefficients(grid, var_alpha, g2, g0, gains, eig, det_scaled,
                               c, block_dev)
 
 
 def _feedback_gain_table(params: ModelParams, trader: TraderCoefficients,
-                         g2: DeterministicTable, grid: TimeGrid,
+                         var_alpha: DeterministicTable, g2: DeterministicTable,
                          c_belief: float) -> DeterministicTable:
-    a = params.temp_impact
-    b = params.fee_informed
-    p = params.perm_impact
-    e = c_belief * trader.f2.values
-    f1 = trader.f1.values
-    f3 = trader.f3.values
-    d = a - e * e * b
-    if np.any(d <= 0.0):
-        raise AdmissibilityError("temp_impact - fee_informed*(c*f2)^2 <= 0 on the grid")
-    sq = np.sqrt(d)
-    n = grid.steps + 1
-    p7 = np.zeros((n, 4))
-    p7[:, 0] = p / (2.0 * sq)
-    p7[:, 1] = f1 * e * b / sq
-    p7[:, 3] = e * f3 * b / sq
-    p8 = np.zeros((n, 4))
-    p8[:, 0] = (1.0 - e) / (2.0 * sq)
-    p8[:, 3] = e / (2.0 * sq)
+    _, _, p7, p8, sq = _p_matrices(trader.f1.values, trader.f2.values, trader.f3.values,
+                                   var_alpha.values, params, c_belief)
     rows = (p7 + 2.0 * np.einsum("kj,kjl->kl", p8, g2.values)) / sq[:, None]
-    return DeterministicTable("gains", grid, rows)
+    return DeterministicTable("gains", g2.grid, rows)
 
 
 def broker_control(t: float, y, coeffs: BrokerCoefficients) -> float:
@@ -273,23 +295,17 @@ def existence_diagnostic(params: ModelParams, trader: TraderCoefficients,
     of its row-scaled version.  Existence requires the three leading
     eigenvalues negative and the fourth (and the determinant) zero.
     """
-    n = grid.steps + 1
-    f2 = trader.f2.values
-    f3 = trader.f3.values
-    vb = var_alpha.values
+    u, v, bmat = _reduced_uvb(trader.f2.values, trader.f3.values, var_alpha.values,
+                              params, c_belief)
     cmat = np.array([[0.0, 0.0], [0.0, 1.0]])
-    eig = np.empty((n, 4))
-    dets = np.empty(n)
-    for k in range(n):
-        u, v, bmat = _reduced_uvb(f2[k], f3[k], vb[k], params, c_belief)
-        top_left = cmat @ v + v.T @ cmat + 2.0 * bmat
-        top_right = cmat @ u
-        m = np.block([[top_left, top_right], [top_right.T, -2.0 * u]])
-        lam = np.linalg.eigvalsh(m)
-        eig[k] = lam[np.argsort(-np.abs(lam), kind="stable")]
-        scale = np.abs(m).max(axis=1)
-        scale[scale == 0.0] = 1.0
-        dets[k] = np.linalg.det(m / scale[:, None])
+    top_left = cmat @ v + _transpose(v) @ cmat + 2.0 * bmat
+    top_right = cmat @ u
+    m = np.block([[top_left, top_right], [_transpose(top_right), -2.0 * u]])
+    lam = np.linalg.eigvalsh(m)
+    eig = np.take_along_axis(lam, np.argsort(-np.abs(lam), axis=-1, kind="stable"), axis=-1)
+    scale = np.abs(m).max(axis=-1)
+    scale[scale == 0.0] = 1.0
+    dets = np.linalg.det(m / scale[..., None])
     return (DeterministicTable("eigvals", grid, eig),
             DeterministicTable("det_scaled", grid, dets))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FilterDegeneracyError
-from .odes import DeterministicTable, TimeGrid, rk4_integrate
+from .odes import DeterministicTable, StageLattice, TimeGrid, rk4_integrate
 from .params import ModelParams
 from .trader import TraderCoefficients
 
@@ -133,12 +133,16 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     if p > 0.0 and np.any(f2[:-1] <= 0.0):
         raise FilterDegeneracyError("f2 vanished before the horizon with perm_impact > 0")
 
+    backward = StageLattice(grid, direction="backward")
+    g2s = trader.g2(backward.times)
+
     # speed loading per unit impact: f2 = perm_impact * unit / (2 fee); solving
     # the unit-source form keeps the log-derivative of f2 well defined as p -> 0
     def unit_rhs(t, u):
-        return th * u - trader.g2(t) * u / (2.0 * b) - 1.0
+        return th * u - g2s[backward.index(t)] * u / (2.0 * b) - 1.0
 
-    unit = rk4_integrate(unit_rhs, 0.0, grid, direction="backward", name="unit_response")
+    unit = rk4_integrate(unit_rhs, 0.0, grid, direction=backward.direction,
+                         name="unit_response")
     uv = unit.values
     if np.any(uv[:-1] <= 0.0):
         raise FilterDegeneracyError("unit speed response vanished before the horizon")
@@ -196,12 +200,18 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     tbl = lambda name, arr: DeterministicTable(name, grid, arr)
     drift_signal = tbl("drift_signal", g7)
     noise_mix = tbl("noise_mix", kmix)
+    forward = StageLattice(grid, direction="forward")
+    at = forward.index
+    g7s = drift_signal(forward.times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mix = sa * noise_mix(forward.times)
 
     def var_rhs(t, v):
-        gain = drift_signal(t) * v + sa * noise_mix(t)
+        i = at(t)
+        gain = g7s[i] * v + mix[i]
         return sa * sa - 2.0 * ka * v - gain * gain
 
-    var_alt = rk4_integrate(var_rhs, 0.0, grid, direction="forward", name="var_alt")
+    var_alt = rk4_integrate(var_rhs, 0.0, grid, direction=forward.direction, name="var_alt")
 
     return FlowFilterCoefficients(
         grid=grid,

@@ -3,8 +3,11 @@
 Everything downstream (coefficient systems, filter variances, the matrix
 Riccati solve) runs on one uniform grid so that deterministic tables line up
 exactly with the Monte Carlo grid.  The integrator is classical fourth-order
-Runge-Kutta with a fixed step; tabulated inputs are evaluated at stage
-midpoints by linear interpolation.
+Runge-Kutta with a fixed step.  A solver evaluates each tabulated input once
+per solve, by linear interpolation on the ``StageLattice`` (every
+half-substep, the only times RK4 asks for), and its right-hand side indexes
+that array.  The linear interpolation makes the solved tables second order in
+``dt``, not fourth.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import IntegrationBlowupError, TableRangeError, ValidationError
 __all__ = [
     "TimeGrid",
     "DeterministicTable",
+    "StageLattice",
     "rk4_integrate",
     "solve_scalar_riccati",
     "riccati_constant_solution",
@@ -127,6 +131,41 @@ def write_columns_csv(path_or_file, header, columns) -> None:
             fh.write(data)
 
 
+class StageLattice:
+    """The times at which ``rk4_integrate`` evaluates a right-hand side on
+    ``grid`` with ``substeps`` in ``direction``: every half-substep,
+    ``2 * substeps * steps + 1`` points in ascending order.
+
+    Each point is computed as the integrator computes it (a substep's start
+    ``t_k + j*sub``, its midpoint ``start + sub/2``), so the first three
+    stages of every substep see these exact times.  The fourth stage's
+    ``start + sub`` can differ from the next start by an ulp;
+    ``index`` maps it to that point.  A solver evaluates each tabulated input
+    once, as ``table(lattice.times)``, and its right-hand side reads entry
+    ``lattice.index(t)`` of the result.
+    """
+
+    __slots__ = ("substeps", "direction", "times", "_per_time")
+
+    def __init__(self, grid: TimeGrid, substeps: int = 1, direction: str = "forward"):
+        forward = direction == "forward"
+        nodes = grid.times
+        sub = (grid.dt if forward else -grid.dt) / substeps
+        starts = (nodes[:-1] if forward else nodes[1:])[:, None] + np.arange(substeps) * sub
+        marched = np.stack([starts, starts + 0.5 * sub], axis=-1).reshape(grid.steps, -1)
+        if forward:
+            self.times = np.append(marched, nodes[-1])
+        else:
+            self.times = np.append(nodes[0], marched[:, ::-1])
+        self.substeps = substeps
+        self.direction = direction
+        self._per_time = (self.times.size - 1) / grid.horizon
+
+    def index(self, t) -> int:
+        """Lattice point of a stage time produced by ``rk4_integrate``."""
+        return round(t * self._per_time)
+
+
 def _rk4_step(rhs, t, y, h):
     k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
@@ -141,12 +180,15 @@ def rk4_integrate(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
 
     direction="forward" starts from ``boundary_value`` at t=0; "backward"
     stores ``boundary_value`` at t=horizon and marches toward t=0 (rhs is the
-    ordinary time derivative in both cases; the step is just negated).
+    ordinary time derivative in both cases; the step is just negated).  A
+    scalar state is carried as a float, anything else as an ndarray.
 
     ``project`` is an optional map applied to the state after every grid step
     (used e.g. to re-symmetrise matrix solutions).  ``substeps`` splits each
     grid interval into that many equal RK4 steps; values are still stored at
     the grid nodes only, so tables stay aligned with the simulation grid.
+    Every time passed to ``rhs`` is (to an ulp) a point of
+    ``StageLattice(grid, substeps, direction)``.
     """
     if direction not in ("forward", "backward"):
         raise ValidationError(f"direction must be 'forward' or 'backward', got {direction!r}")
@@ -156,48 +198,34 @@ def rk4_integrate(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
     if not np.all(np.isfinite(y)):
         raise ValidationError(f"boundary value for '{name}' is not finite")
     out = np.empty((grid.steps + 1,) + y.shape, dtype=float)
-    times = grid.times
-
-    def advance(y, t_from, h):
-        # non-finite states are handled by the blow-up contract below
-        sub = h / substeps
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(substeps):
-                y = _rk4_step(rhs, t_from + j * sub, y, sub)
-        return y
-
+    if y.ndim == 0:
+        y = float(y)
+    times = grid.times.tolist()
     if direction == "forward":
-        out[0] = y
-        for k in range(grid.steps):
-            y = advance(y, times[k], grid.dt)
-            if project is not None:
-                y = project(y)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationBlowupError(
-                    f"'{name}' produced a non-finite value at t={times[k + 1]:.10g}"
-                )
-            out[k + 1] = y
+        start, step = 0, 1
     else:
-        out[grid.steps] = y
-        for k in range(grid.steps, 0, -1):
-            y = advance(y, times[k], -grid.dt)
+        start, step = grid.steps, -1
+    sub = step * grid.dt / substeps
+    out[start] = y
+    # non-finite states are handled by the blow-up contract below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start, start + step * grid.steps, step):
+            for j in range(substeps):
+                y = _rk4_step(rhs, times[k] + j * sub, y, sub)
             if project is not None:
                 y = project(y)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise IntegrationBlowupError(
-                    f"'{name}' produced a non-finite value at t={times[k - 1]:.10g}"
+                    f"'{name}' produced a non-finite value at t={times[k + step]:.10g}"
                 )
-            out[k - 1] = y
+            out[k + step] = y
     return DeterministicTable(name, grid, out)
 
 
-def _as_timefunc(c):
+def _on_lattice(c, lattice: StageLattice) -> np.ndarray:
     if isinstance(c, DeterministicTable):
-        return c
-    if callable(c):
-        return c
-    value = float(c)
-    return lambda t: value
+        return c(lattice.times)
+    return np.full(lattice.times.shape, float(c))
 
 
 def solve_scalar_riccati(quad, lin, const, boundary: float, grid: TimeGrid,
@@ -208,13 +236,20 @@ def solve_scalar_riccati(quad, lin, const, boundary: float, grid: TimeGrid,
     forward:   y' = const(t) + lin(t) y + quad(t) y^2,  y(0) = boundary
     backward:  0 = y' + const(t) + lin(t) y + quad(t) y^2,  y(horizon) = boundary
 
-    Coefficients may be numbers, callables of t, or DeterministicTables.
+    Coefficients may be numbers or DeterministicTables; tables are evaluated
+    once, on the stage lattice.
     """
-    q, l, c = _as_timefunc(quad), _as_timefunc(lin), _as_timefunc(const)
+    lattice = StageLattice(grid, substeps, direction)
+    q, l, c = (_on_lattice(x, lattice) for x in (quad, lin, const))
+    at = lattice.index
     if direction == "forward":
-        rhs = lambda t, y: c(t) + l(t) * y + q(t) * y * y
+        def rhs(t, y):
+            i = at(t)
+            return c[i] + l[i] * y + q[i] * y * y
     else:
-        rhs = lambda t, y: -(c(t) + l(t) * y + q(t) * y * y)
+        def rhs(t, y):
+            i = at(t)
+            return -(c[i] + l[i] * y + q[i] * y * y)
     return rk4_integrate(rhs, float(boundary), grid, direction=direction, name=name,
                          substeps=substeps)
 

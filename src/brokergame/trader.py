@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ModelInconsistencyError
-from .odes import DeterministicTable, TimeGrid, rk4_integrate, solve_scalar_riccati, write_columns_csv
+from .odes import (DeterministicTable, StageLattice, TimeGrid, rk4_integrate,
+                   solve_scalar_riccati, write_columns_csv)
 from .params import ModelParams
 
 __all__ = [
@@ -89,7 +90,8 @@ def solve_inventory_coeff(params: ModelParams, var_nu: DeterministicTable,
     g2 = solve_scalar_riccati(
         quad=1.0 / params.fee_informed,
         lin=0.0,
-        const=lambda t: -(params.phi0_trader + params.phi1_trader * var_nu(t)),
+        const=DeterministicTable(
+            "g2_source", grid, -(params.phi0_trader + params.phi1_trader * var_nu.values)),
         boundary=terminal,
         grid=grid,
         direction="backward",
@@ -121,16 +123,23 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
     rho = params.rho
     ratio = _impact_ratio(params)   # perm_impact / sigma_price
 
+    lattice = StageLattice(grid, direction="backward")
+    at = lattice.index
+    g2s, v = g2(lattice.times), var_nu(lattice.times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = (p * sa * rho * v / params.sigma_price if params.sigma_price
+                 else np.zeros_like(v))
+        rv = ratio * v
+        rv2 = rv * rv
+
     def rhs(t, z):
         z1, z2, z3, z4, z5, z6, z7, z8 = z
-        g = g2(t)
-        v = var_nu(t)
-        rv = ratio * v
+        i = at(t)
+        g = g2s[i]
         return np.array([
             ka * z1 - g * z1 / (2.0 * b) - 1.0,
             th * z2 - g * z2 / (2.0 * b) - p,
-            -(p * sa * rho * v / params.sigma_price if params.sigma_price else 0.0) * z6
-            - sa * sa * z7 - rv * rv * z8,
+            -cross[i] * z6 - sa * sa * z7 - rv2[i] * z8,
             ka * z4 - g * z1 / (2.0 * b),
             th * z5 - g * z2 / (2.0 * b),
             (ka + th) * z6 - z1 * z2 / (2.0 * b),
@@ -138,7 +147,7 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
             2.0 * th * z8 - z2 * z2 / (4.0 * b),
         ])
 
-    sol = rk4_integrate(rhs, np.zeros(8), grid, direction="backward", name="z")
+    sol = rk4_integrate(rhs, np.zeros(8), grid, direction=lattice.direction, name="z")
     tables = tuple(
         DeterministicTable(f"z{i + 1}", grid, sol.values[:, i]) for i in range(8)
     )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import brokergame as bg
 from brokergame.errors import IntegrationBlowupError, TableRangeError
-from brokergame.odes import riccati_constant_solution, write_columns_csv
+from brokergame.odes import StageLattice, riccati_constant_solution, write_columns_csv
 
 
 def test_grid_nodes_exact():
@@ -149,3 +149,51 @@ def test_table_csv_round_trip():
     write_columns_csv(buf2, ["t", "value"],
                       [[r[0] for r in parsed], [r[1] for r in parsed]])
     assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("substeps", [1, 2, 4])
+@pytest.mark.parametrize("horizon, steps", [(1.0, 50), (2.5, 37)])
+def test_stage_lattice_matches_scalar_evaluation(direction, substeps, horizon, steps):
+    g = bg.TimeGrid(horizon, steps)
+    t = g.times
+    scalar = bg.DeterministicTable("s", g, 2.0 + np.sin(1.3 * t) + 0.1 * t * t)
+    matrix = bg.DeterministicTable(
+        "m", g, 3.0 + np.cos(np.multiply.outer(t, np.arange(1.0, 17.0)) / 7.0).reshape(-1, 4, 4))
+    seen = []
+    bg.rk4_integrate(lambda s, y: seen.append(s) or 0.0 * y, 0.0, g, direction=direction,
+                     substeps=substeps)
+
+    # march order: step k, substep j, stages at offsets 0, 1, 1, 2 half-substeps
+    sign = 1 if direction == "forward" else -1
+    ks = range(steps) if direction == "forward" else range(steps, 0, -1)
+    expected = [2 * substeps * k + sign * (2 * j + off)
+                for k in ks for j in range(substeps) for off in (0, 1, 1, 2)]
+    lattice = StageLattice(g, substeps, direction)
+    assert lattice.times.shape == (2 * substeps * steps + 1,)
+    assert np.all(np.diff(lattice.times) > 0.0)
+    assert [lattice.index(s) for s in seen] == expected
+
+    for tab in (scalar, matrix):
+        on_lattice = tab(lattice.times)
+        for n, (s, i) in enumerate(zip(seen, expected)):
+            exact = np.asarray(tab(s))
+            assert np.all(np.abs(on_lattice[i] - exact) <= 4.0 * np.spacing(np.abs(exact)))
+            if n % 4 != 3:   # the first three stages run at the lattice time itself
+                assert s == lattice.times[i]
+
+
+def test_coefficient_tables_second_order_in_dt(params):
+    # tabled inputs are interpolated linearly between nodes, so halving dt
+    # quarters the change of every table (RK4 alone would give 16)
+    builds = [bg.build_coefficients(params, bg.TimeGrid(1.0, n)) for n in (500, 1000, 2000)]
+    tables = {
+        "f1": lambda b: b.trader.f1, "f2": lambda b: b.trader.f2, "f3": lambda b: b.trader.f3,
+        "gains": lambda b: b.broker.gains, "g0": lambda b: b.broker.g0,
+        "var_alt": lambda b: b.flow.var_alt, "g2": lambda b: b.broker.g2,
+    }
+    for name, get in tables.items():
+        at = [np.array([get(b).at_index(round(b.trader.grid.steps * t))
+                        for t in (0.0, 0.25, 0.5, 0.75)]) for b in builds]
+        ratio = np.abs(at[0] - at[1]).max() / np.abs(at[1] - at[2]).max()
+        assert 3.5 < ratio < 4.5, (name, ratio)
