@@ -9,7 +9,7 @@ that the mean outperformance is zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats as sps
@@ -234,31 +234,44 @@ class StressReport:
 def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
                   base_seed: int | None = None, chunk_size: int = 2500,
                   threads: int = 1) -> StressReport:
-    """Re-run the experiment with the agents' learning parameters scaled.
+    """Re-run the experiment with the broker's learning parameters scaled.
 
-    ``sweep`` maps a learning-parameter name to a list of multipliers.  The
-    stressed value enters only the agents' coefficient systems and filters;
-    the simulated dynamics keep the base parameters.
+    ``sweep`` maps a learning-parameter name to a list of multipliers.  A
+    stressed value enters only the broker's coefficient systems and filters;
+    the client keeps the true coefficients and the simulated dynamics keep
+    the base parameters.  Each chunk of paths draws its noise once and runs
+    the base cell's four arms plus every stressed cell's optimal arm on it.
+    A cell's report reuses the base cell's benchmark arms: their rules read
+    only the broker's inventory, the client flows and the true trader, none
+    of which the stress touches.
     """
-    from .sim import run_experiment   # deferred: sim imports this module lazily too
+    from .sim import BROKER_MODES, _run_jobs, _Tables, build_coefficients  # deferred: cycle
 
     for name in sweep:
         if name not in LEARNING_PARAMS:
             raise ValidationError(
                 f"can only stress learning parameters {LEARNING_PARAMS}, got {name!r}"
             )
-    base_report, _ = run_experiment(params, grid, config, n_paths,
-                                    base_seed=base_seed, chunk_size=chunk_size,
-                                    threads=threads)
-    cells = []
-    for name, multipliers in sweep.items():
-        for mult in multipliers:
-            stressed = params.replace(**{name: getattr(params, name) * float(mult)})
-            rep, _ = run_experiment(params, grid, config, n_paths,
-                                    base_seed=base_seed, model_params=stressed,
-                                    chunk_size=chunk_size, threads=threads)
-            cells.append(StressCell(name, float(mult), rep))
-    return StressReport(base=base_report, cells=tuple(cells))
+    seed = config.seed if base_seed is None else int(base_seed)
+    base = build_coefficients(params, grid, c_belief=config.c_belief)
+    base_tables = _Tables(params, params, base)
+    jobs = [(base_tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
+    cells = [(name, float(mult), params.replace(**{name: getattr(params, name) * float(mult)}))
+             for name, multipliers in sweep.items() for mult in multipliers]
+    optimal = replace(config, broker_mode="optimal")
+    for _, _, stressed in cells:
+        bundle = build_coefficients(stressed, grid, c_belief=config.c_belief)
+        jobs.append((_Tables(params, stressed, bundle, trader_true=base.trader), optimal))
+    results = _run_jobs(jobs, seed, grid.steps, n_paths, chunk_size, threads)
+
+    base_arms = dict(zip(BROKER_MODES, results))
+    report = lambda per_arm, model: build_experiment_report(
+        per_arm, params=params, model_params=model, config=config, n_paths=n_paths,
+        base_seed=seed)
+    return StressReport(
+        base=report(base_arms, params),
+        cells=tuple(StressCell(name, mult, report({**base_arms, "optimal": arms}, stressed))
+                    for (name, mult, stressed), arms in zip(cells, results[4:])))
 
 
 def stress_to_json(sr: StressReport) -> str:

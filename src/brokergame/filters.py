@@ -172,6 +172,7 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     g8 = np.empty(n + 1)
     g9 = np.empty(n + 1)
     kmix = np.empty(n + 1)
+    mix_gap = np.empty(n + 1)     # 1 - kmix^2 without subtracting from 1
     inv_g5 = np.empty(n + 1)
     interior = slice(0, n)
     g6[interior] = -(g3p[interior] * (g3[interior] + rho * g4[interior])
@@ -180,6 +181,7 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     g8[interior] = g0[interior] / g5[interior]
     g9[interior] = g1[interior] / g5[interior]
     kmix[interior] = (g3[interior] + rho * g4[interior]) / g5[interior]
+    mix_gap[interior] = (1.0 - rho * rho) * g4[interior] ** 2 / g5[interior] ** 2
     inv_g5[interior] = 1.0 / g5[interior]
 
     # horizon values: finite limits where they exist, last interior node where
@@ -193,6 +195,7 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     g7[n] = (0.5 * (th - ka) + p * p * v_t / ss ** 2) / denom
     g9[n] = (p ** 3 * v_t / ss ** 2) / denom
     kmix[n] = (a3 + rho * a4) / denom
+    mix_gap[n] = (1.0 - rho * rho) * a4 * a4 / (denom * denom)
     g6[n] = g6[n - 1]
     g8[n] = g8[n - 1]
     inv_g5[n] = inv_g5[n - 1]
@@ -203,13 +206,17 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     forward = StageLattice(grid, direction="forward")
     at = forward.index
     g7s = drift_signal(forward.times)
+    # var_alt' = sa^2 - 2 ka v - (g7 v + sa kmix)^2, expanded so that the
+    # source sa^2 (1 - kmix^2) comes from the loadings: kmix is within 2e-8
+    # of 1 at the defaults, and forming 1 - kmix^2 would leave rounding residue
     with np.errstate(over="ignore", invalid="ignore"):
-        mix = sa * noise_mix(forward.times)
+        source = sa * sa * tbl("mix_gap", mix_gap)(forward.times)
+        decay = 2.0 * ka + 2.0 * sa * noise_mix(forward.times) * g7s
+        g7sq = g7s * g7s
 
     def var_rhs(t, v):
         i = at(t)
-        gain = g7s[i] * v + mix[i]
-        return sa * sa - 2.0 * ka * v - gain * gain
+        return source[i] - v * (decay[i] + g7sq[i] * v)
 
     var_alt = rk4_integrate(var_rhs, 0.0, grid, direction=forward.direction, name="var_alt")
 

@@ -11,7 +11,8 @@ three benchmarks) is a time-varying linear feedback table on one state,
 ``(q_broker, alpha_est, flow, q_trader_belief, eta)``, so one step loop, with
 no branch on the rule, serves every arm.  The experiment runs each arm on the
 same Gaussian increments, which is what makes the outperformance statistics
-tight.
+tight; the stress sweep adds each stressed cell's optimal arm to the same
+per-chunk pass.
 """
 
 from __future__ import annotations
@@ -136,9 +137,10 @@ class _Tables:
     """Grid-index arrays consumed by the stepper (plain ndarrays only).
 
     The trader side (his feedback loadings and speed-filter gain) comes from
-    ``trader_true``; everything the broker computes — her feedback gains, her
-    filters, and the loadings she uses to invert the client's rate — comes
-    from the (possibly mispecified) model bundle.
+    ``trader_true``, or from the bundle's trader when it is None; everything
+    the broker computes — her feedback gains, her filters, and the loadings
+    she uses to invert the client's rate — comes from the bundle, solved
+    under ``params_model`` (the stress sweep's mispecified model).
     """
 
     def __init__(self, params_true: ModelParams, params_model: ModelParams,
@@ -414,17 +416,14 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
 def simulate_path(params: ModelParams, trader: TraderCoefficients,
                   broker: BrokerCoefficients, flow: FlowFilterCoefficients | None,
                   config: StrategyConfig = StrategyConfig(), seed: int | None = None,
-                  model_params: ModelParams | None = None,
-                  trader_true: TraderCoefficients | None = None,
                   init: dict | None = None) -> PathResult:
     """Simulate one path with a full record of every series.
 
-    ``trader``/``broker``/``flow`` are the broker's model tables; pass
-    ``trader_true`` (with ``model_params``) when the broker's model of the
-    client is mispecified relative to the client's actual coefficients.
+    ``trader``/``broker``/``flow`` are the tables solved under ``params``;
+    ``init`` overrides initial states by series name.
     """
     bundle = CoefficientBundle(trader, broker, flow)
-    tables = _Tables(params, model_params or params, bundle, trader_true)
+    tables = _Tables(params, params, bundle)
     use_seed = config.seed if seed is None else int(seed)
     q0, eps = _draw_noise(use_seed, [0], trader.grid.steps)
     metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
@@ -447,64 +446,64 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
 
 
 def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
-                      config: StrategyConfig, n_paths: int, base_seed: int,
-                      model_params: ModelParams | None = None):
+                      config: StrategyConfig, n_paths: int, base_seed: int):
     """Record full series for a (small) batch of paths; returns (metrics, records)."""
-    tables = _Tables(params, model_params or params, bundle)
+    tables = _Tables(params, params, bundle)
     q0, eps = _draw_noise(base_seed, range(n_paths), bundle.trader.grid.steps)
     return _simulate_core(tables, config, eps, q0, record=True)
 
 
-def _chunk_ranges(n: int, size: int):
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int,
+              threads: int):
+    """Run every ``(tables, arm config)`` job on the same noise.
 
-
-def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
-                   n_paths: int, base_seed: int | None = None,
-                   model_params: ModelParams | None = None,
-                   bundle: CoefficientBundle | None = None,
-                   chunk_size: int = 2500, threads: int = 1):
-    """Simulate the optimal strategy and all three benchmarks on coupled noise.
-
-    Every chunk of paths runs once per strategy arm on the same Gaussian
-    increments (seed ``base_seed ^ index``).  When ``model_params`` differs
-    from ``params``, the stressed values enter only the broker's coefficient
-    systems and filters; the client keeps the true coefficients and the
-    simulated dynamics keep the true parameters.  Returns an
-    :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
-    metric arrays keyed by arm name.
+    Each chunk of paths draws its noise once (path ``n`` from
+    ``base_seed ^ n``) and runs every job on it.  Returns one metrics dict
+    per job, in job order, with the chunks concatenated in path order.
     """
-    from .analytics import build_experiment_report   # deferred: avoids module cycle
-
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
-    seed = config.seed if base_seed is None else int(base_seed)
-    mp = model_params or params
-    trader_true = None
-    if bundle is None:
-        bundle = build_coefficients(mp, grid, c_belief=config.c_belief)
-        if mp is not params:
-            trader_true = solve_trader(params, grid)
-    tables = _Tables(params, mp, bundle, trader_true)
-    arm_configs = [replace(config, broker_mode=arm) for arm in BROKER_MODES]
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
-        q0, eps = _draw_noise(seed, range(lo, hi), grid.steps)
-        return [_simulate_core(tables, arm_config, eps, q0, record=False)[0]
-                for arm_config in arm_configs]
+        q0, eps = _draw_noise(base_seed, range(lo, hi), steps)
+        return [_simulate_core(tables, config, eps, q0, record=False)[0]
+                for tables, config in jobs]
 
-    ranges = _chunk_ranges(n_paths, max(1, chunk_size))
+    size = max(1, chunk_size)
+    ranges = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     if threads and threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, ranges))
     else:
         results = [run_chunk(r) for r in ranges]
-    per_arm = {arm: {key: np.concatenate([out[a][key] for out in results], axis=-1)
-                     for key in results[0][a]}
-               for a, arm in enumerate(BROKER_MODES)}
+    return [{key: np.concatenate([out[j][key] for out in results], axis=-1)
+             for key in results[0][j]}
+            for j in range(len(jobs))]
 
-    report = build_experiment_report(per_arm, params=params, model_params=mp,
+
+def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
+                   n_paths: int, base_seed: int | None = None,
+                   bundle: CoefficientBundle | None = None,
+                   chunk_size: int = 2500, threads: int = 1):
+    """Simulate the optimal strategy and all three benchmarks on coupled noise.
+
+    Every chunk of paths runs once per strategy arm on the same Gaussian
+    increments (seed ``base_seed ^ index``).  ``bundle`` is built from
+    ``params`` when not given.  Returns an
+    :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
+    metric arrays keyed by arm name.
+    """
+    from .analytics import build_experiment_report   # deferred: avoids module cycle
+
+    seed = config.seed if base_seed is None else int(base_seed)
+    if bundle is None:
+        bundle = build_coefficients(params, grid, c_belief=config.c_belief)
+    tables = _Tables(params, params, bundle)
+    jobs = [(tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
+    per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, seed, grid.steps, n_paths,
+                                               chunk_size, threads)))
+    report = build_experiment_report(per_arm, params=params, model_params=params,
                                      config=config, n_paths=n_paths, base_seed=seed)
     return report, per_arm
 

@@ -144,24 +144,10 @@ def test_criterion_5_coefficient_properties(params, grid1000, bundle):
                         f"block dev = {br.block_dev:.2e}")
 
 
-def test_criterion_6_conservation_random_parameters(grid1000):
-    rng = np.random.default_rng(1234)
+def test_criterion_6_conservation_random_parameters(grid1000, random_params):
     worst_inv = worst_cash = 0.0
-    n_sets, paths_per = 25, 40
-    for i in range(n_sets):
-        p = bg.DEFAULT_PARAMS.replace(
-            kappa_signal=rng.uniform(1.0, 8.0),
-            sigma_signal=rng.uniform(0.2, 2.0),
-            theta_speed=rng.uniform(5.0, 15.0),
-            sigma_speed=rng.uniform(5.0, 80.0),
-            kappa_flow=rng.uniform(5.0, 25.0),
-            sigma_flow=rng.uniform(20.0, 150.0),
-            perm_impact=rng.uniform(0.0, 2e-3),
-            rho=rng.uniform(-0.5, 0.5),
-            temp_impact=2.1e-3 * rng.uniform(0.5, 2.0),
-            fee_informed=2e-3 * rng.uniform(0.5, 2.0),
-            fee_uninformed=2e-3 * rng.uniform(0.5, 2.0),
-        )
+    n_sets, paths_per = len(random_params), 40
+    for i, p in enumerate(random_params):
         b = bg.build_coefficients(p, grid1000)
         tables = _Tables(p, p, b)
         q0, eps = _draw_noise(9000 + i, range(paths_per), grid1000.steps)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brokergame as bg
-from brokergame import analytics
+from brokergame import analytics, sim
+from brokergame.sim import BROKER_MODES, _draw_noise, _simulate_core, _Tables
 
 
 def _flat_path(grid, price, nu, eta, xi, wealth):
@@ -177,3 +179,67 @@ def test_stress_csv_layout(params, grid200, bundle200):
     doc = json.loads(bg.stress_to_json(sr))
     assert doc["schema"] == "brokergame.stress/1"
     assert len(doc["cells"]) == 2
+
+
+def _independent_stress(params, sweep, grid, config, n_paths, seed):
+    """The stress sweep built cell by cell: own tables, a fresh true trader,
+    all four arms on freshly drawn noise."""
+    def cell(model):
+        bundle = bg.build_coefficients(model, grid, c_belief=config.c_belief)
+        tables = _Tables(params, model, bundle, trader_true=bg.solve_trader(params, grid))
+        q0, eps = _draw_noise(seed, range(n_paths), grid.steps)
+        per_arm = {arm: _simulate_core(tables, replace(config, broker_mode=arm), eps, q0,
+                                       record=False)[0]
+                   for arm in BROKER_MODES}
+        return analytics.build_experiment_report(per_arm, params=params, model_params=model,
+                                                 config=config, n_paths=n_paths,
+                                                 base_seed=seed)
+    cells = tuple(
+        analytics.StressCell(name, float(mult),
+                             cell(params.replace(**{name: getattr(params, name) * mult})))
+        for name, multipliers in sweep.items() for mult in multipliers)
+    return analytics.StressReport(base=cell(params), cells=cells)
+
+
+def _stress_texts(sr):
+    buf = io.StringIO()
+    bg.stress_to_csv(sr, buf)
+    return bg.stress_to_json(sr), buf.getvalue()
+
+
+@pytest.mark.parametrize("cfg", [dict(signal_source="price"), dict(signal_source="flow"),
+                                 dict(signal_source="flow", mispecify_qi=True)])
+def test_stress_runner_matches_independent_cells(params, cfg):
+    grid = bg.TimeGrid(1.0, 50)
+    sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
+    config = bg.StrategyConfig(**cfg)
+    oracle = _stress_texts(_independent_stress(params, sweep, grid, config, 30, 23))
+    for threads in (1, 2):
+        sr = bg.stress_runner(params, sweep, grid, config, 30, base_seed=23,
+                              chunk_size=13, threads=threads)
+        assert _stress_texts(sr) == oracle
+
+
+def test_stress_runner_shares_noise_and_true_trader(params, monkeypatch):
+    # one noise draw per chunk, one solve of the true trader, and per chunk
+    # four arms for the base cell plus one optimal arm per stressed cell
+    seen = {"noise": [], "trader": [], "arms": []}
+
+    def spy(name, fn, key=lambda *args, **kwargs: None):
+        def wrapper(*args, **kwargs):
+            seen[name].append(key(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "_draw_noise", spy("noise", sim._draw_noise))
+    monkeypatch.setattr(sim, "solve_trader",
+                        spy("trader", sim.solve_trader, lambda p, *args: p))
+    monkeypatch.setattr(sim, "_simulate_core",
+                        spy("arms", sim._simulate_core,
+                            lambda tables, config, *args, **kwargs: config.broker_mode))
+    sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
+    bg.stress_runner(params, sweep, bg.TimeGrid(1.0, 50), bg.StrategyConfig(), 30,
+                     base_seed=23, chunk_size=13)
+    assert len(seen["noise"]) == 3
+    assert seen["trader"].count(params) == 1 and len(seen["trader"]) == 1 + 8
+    assert seen["arms"] == 3 * (list(BROKER_MODES) + ["optimal"] * 8)
