@@ -18,8 +18,8 @@ grid = bg.TimeGrid(1.0, 1000)
 params = bg.DEFAULT_PARAMS.replace(beta0_trader=1e-5, beta0_broker=1e-5)
 
 trader = bg.solve_trader(params, grid)
-br1 = bg.solve_broker(params, trader, grid, c_belief=1.0)
-br0 = bg.solve_broker(params, trader, grid, c_belief=0.0)
+br1 = bg.solve_broker(params.replace(c_belief=1.0), trader, grid)
+br0 = bg.solve_broker(params.replace(c_belief=0.0), trader, grid)
 flow = bg.flow_filter_coefficients(trader, params, grid)
 
 _, rec = bg.simulate_recorded(params, CoefficientBundle(trader, br1, flow),

@@ -13,25 +13,20 @@ from .analytics import (LEARNING_PARAMS, BenchmarkStats, ExperimentReport, Stres
                         externalisation_quotient, one_sided_t_test, outperformance,
                         report_to_csv, report_to_json, stress_runner, stress_to_csv,
                         stress_to_json)
-from .broker import (BrokerCoefficients, broker_control, broker_control_components,
-                     broker_value, build_p_matrices, existence_diagnostic,
-                     export_broker_csv, solve_broker, solve_price_filter_variance,
-                     solve_reduced_riccati)
+from .broker import (BrokerCoefficients, existence_diagnostic, export_broker_csv,
+                     solve_broker, solve_price_filter_variance, solve_reduced_riccati)
 from .errors import (AdmissibilityError, BrokerGameError, ExistenceError,
                      FilterDegeneracyError, IntegrationBlowupError,
                      MetricUndefinedError, ModelInconsistencyError, TableRangeError,
                      SimulationBlowupError, ValidationError)
-from .filters import (FilterState, FlowFilterCoefficients, flow_filter_coefficients,
-                      naive_alpha, price_filter_gain, trader_filter_gain,
-                      update_broker_flow_filter, update_broker_price_filter,
-                      update_trader_filter)
+from .filters import (FlowFilterCoefficients, flow_filter_coefficients, price_filter_gain,
+                      trader_filter_gain)
 from .odes import (DeterministicTable, TimeGrid, riccati_constant_solution,
                    rk4_integrate, solve_scalar_riccati)
 from .params import DEFAULT_PARAMS, ModelParams
 from .sim import (CoefficientBundle, PathResult, StrategyConfig,
                   build_coefficients, export_filter_csv, export_path_csv,
                   run_experiment, simulate_path, simulate_recorded)
-from .trader import (TraderCoefficients, export_trader_csv, solve_trader,
-                     trader_control, trader_value)
+from .trader import TraderCoefficients, export_trader_csv, solve_trader
 
 __version__ = "0.1.0"

@@ -34,6 +34,8 @@ __all__ = [
     "StressCell",
     "StressReport",
     "stress_runner",
+    "stress_to_json",
+    "stress_to_csv",
     "LEARNING_PARAMS",
     "SIGNIFICANCE_LEVEL",
 ]
@@ -125,7 +127,7 @@ class ExperimentReport:
     schema: str
     mode: str
     mispecify_qi: bool
-    c_belief: float | None
+    c_belief: float              # the broker's belief, model_params.c_belief
     n_paths: int
     base_seed: int
     params_digest: str
@@ -166,7 +168,7 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
         schema="brokergame.experiment/1",
         mode=config.signal_source,
         mispecify_qi=bool(config.mispecify_qi),
-        c_belief=config.c_belief,
+        c_belief=float(model_params.c_belief),
         n_paths=n_paths,
         base_seed=base_seed,
         params_digest=params.digest(),
@@ -253,14 +255,14 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
                 f"can only stress learning parameters {LEARNING_PARAMS}, got {name!r}"
             )
     seed = config.seed if base_seed is None else int(base_seed)
-    base = build_coefficients(params, grid, c_belief=config.c_belief)
+    base = build_coefficients(params, grid)
     base_tables = _Tables(params, params, base)
     jobs = [(base_tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
     cells = [(name, float(mult), params.replace(**{name: getattr(params, name) * float(mult)}))
              for name, multipliers in sweep.items() for mult in multipliers]
     optimal = replace(config, broker_mode="optimal")
     for _, _, stressed in cells:
-        bundle = build_coefficients(stressed, grid, c_belief=config.c_belief)
+        bundle = build_coefficients(stressed, grid)
         jobs.append((_Tables(params, stressed, bundle, trader_true=base.trader), optimal))
     results = _run_jobs(jobs, seed, grid.steps, n_paths, chunk_size, threads)
 

@@ -27,13 +27,9 @@ from .trader import TraderCoefficients
 __all__ = [
     "BrokerCoefficients",
     "solve_price_filter_variance",
-    "build_p_matrices",
     "solve_broker",
     "solve_reduced_riccati",
     "existence_diagnostic",
-    "broker_control",
-    "broker_control_components",
-    "broker_value",
     "export_broker_csv",
 ]
 
@@ -50,7 +46,7 @@ class BrokerCoefficients:
     gains: DeterministicTable         # feedback row: rate = gains(t) . y
     eigvals: DeterministicTable       # existence diagnostic, 4 per node
     det_scaled: DeterministicTable    # det of the row-scaled diagnostic matrix
-    c_belief: float
+    c_belief: float                   # params.c_belief the tables were solved with
     block_dev: float                  # max |full - reduced| on shared entries
 
 
@@ -86,20 +82,28 @@ def _outer(x, y):
     return x[..., :, None] * y[..., None, :]
 
 
-def _p_matrices(f1, f2, f3, vb, params: ModelParams, c_belief: float):
-    """State matrices (P2, P5, P7, P8) and sqrt(temp_impact - fee*(c f2)^2)
-    at one instant, or stacked along the leading axis of the inputs.  The
-    broker plugs her belief about how strongly her own speed feeds the
-    client's rate in for f2 everywhere."""
-    a = params.temp_impact
-    b = params.fee_informed
-    p = params.perm_impact
-    e = c_belief * f2
-    d = a - e * e * b
+def _belief_curvature(f2, params: ModelParams):
+    """The broker's believed speed loading ``e = c_belief * f2`` of the
+    client's rate and the curvature ``d = temp_impact - fee_informed * e^2``
+    of her Hamiltonian in her own rate, which must be positive for the
+    control to exist."""
+    e = params.c_belief * f2
+    d = params.temp_impact - e * e * params.fee_informed
     if np.any(d <= 0.0):
         raise AdmissibilityError(
             f"temp_impact - fee_informed * (c*f2)^2 = {np.min(d):.3e} <= 0: control undefined"
         )
+    return e, d
+
+
+def _p_matrices(f1, f2, f3, vb, params: ModelParams):
+    """State matrices (P2, P5, P7, P8) and sqrt(temp_impact - fee*(c f2)^2)
+    at one instant, or stacked along the leading axis of the inputs.  The
+    broker plugs her belief about how strongly her own speed feeds the
+    client's rate in for f2 everywhere."""
+    b = params.fee_informed
+    p = params.perm_impact
+    e, d = _belief_curvature(f2, params)
     sq = np.sqrt(d)
     p2 = _stacked(
         (4, 4),
@@ -124,27 +128,13 @@ def _p9(p2, p7, p8):
     return 2.0 * _outer(p8, p7) + _transpose(p2)
 
 
-def build_p_matrices(t: float, trader: TraderCoefficients,
-                     var_alpha: DeterministicTable, params: ModelParams,
-                     c_belief: float = 1.0):
-    """(P2, P5, P7, P8, P9) at time t; P9 = 2 P8^T P7 + P2^T."""
-    p2, p5, p7, p8, _ = _p_matrices(
-        trader.f1(t), trader.f2(t), trader.f3(t), var_alpha(t), params, c_belief
-    )
-    return p2, p5, p7, p8, _p9(p2, p7, p8)
-
-
-def _reduced_uvb(f2, f3, vb, params: ModelParams, c_belief: float):
+def _reduced_uvb(f2, f3, vb, params: ModelParams):
     """U, V, B of the reduced (q_broker, q_trader) Riccati block, at one
     instant or stacked along the leading axis of the inputs."""
     a = params.temp_impact
     b = params.fee_informed
     p = params.perm_impact
-    e = c_belief * f2
-    d = a - e * e * b
-    if np.any(d <= 0.0):
-        raise AdmissibilityError(
-            f"temp_impact - fee_informed * (c*f2)^2 = {np.min(d):.3e} <= 0")
+    e, d = _belief_curvature(f2, params)
     w = _stacked((2,), 1.0 - e, e)
     dd = np.asarray(d)[..., None, None]
     u = _outer(w, w) / dd
@@ -167,8 +157,7 @@ def _symmetrize(m):
 
 
 def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
-                          var_alpha: DeterministicTable, grid: TimeGrid,
-                          c_belief: float = 1.0) -> DeterministicTable:
+                          var_alpha: DeterministicTable, grid: TimeGrid) -> DeterministicTable:
     """Backward solve of the closed 2x2 block of the matrix Riccati system."""
     terminal = np.zeros((2, 2))
     terminal[0, 0] = -(params.beta0_broker
@@ -177,7 +166,7 @@ def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
     at = lattice.index
     with np.errstate(over="ignore", invalid="ignore"):
         u, v, bmat = _reduced_uvb(*(x(lattice.times) for x in (trader.f2, trader.f3, var_alpha)),
-                                  params, c_belief)
+                                  params)
 
     def rhs(t, g):
         i = at(t)
@@ -188,8 +177,8 @@ def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
                          project=_symmetrize, name="g2_block", substeps=lattice.substeps)
 
 
-def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid,
-                 c_belief: float | None = None) -> BrokerCoefficients:
+def solve_broker(params: ModelParams, trader: TraderCoefficients,
+                 grid: TimeGrid) -> BrokerCoefficients:
     """Solve the broker's full coefficient system.
 
     The full 4x4 matrix Riccati is integrated backward (re-symmetrised each
@@ -198,7 +187,6 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid
     here means the permanent impact is outside the range where the reduced
     system has a global solution.
     """
-    c = params.c_belief if c_belief is None else float(c_belief)
     var_alpha = solve_price_filter_variance(params, grid)
 
     terminal = np.zeros((4, 4))
@@ -208,7 +196,7 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid
     at = lattice.index
     with np.errstate(over="ignore", invalid="ignore"):
         p2, p5, p7, p8, _ = _p_matrices(
-            *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)), params, c)
+            *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)), params)
         p9 = _p9(p2, p7, p8)
     # P2 only feeds P9; freed before the march it leaves no heap memory
     # pinned behind the build (2-3 MB of process peak when kept)
@@ -223,7 +211,7 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid
     try:
         g2_full = rk4_integrate(rhs, terminal, grid, direction=lattice.direction,
                                 project=_symmetrize, name="g2", substeps=lattice.substeps)
-        g2_block = solve_reduced_riccati(params, trader, var_alpha, grid, c)
+        g2_block = solve_reduced_riccati(params, trader, var_alpha, grid)
     except IntegrationBlowupError as exc:
         raise ExistenceError(
             "matrix Riccati blow-up: permanent impact is outside the admissible "
@@ -256,47 +244,30 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients, grid: TimeGrid
     g0 = rk4_integrate(lambda t, y: source[nodes.index(t)], 0.0, grid,
                        direction=nodes.direction, name="g0")
 
-    gains = _feedback_gain_table(params, trader, var_alpha, g2, c)
-    eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid, c)
+    gains = _feedback_gain_table(params, trader, var_alpha, g2)
+    eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid)
     return BrokerCoefficients(grid, var_alpha, g2, g0, gains, eig, det_scaled,
-                              c, block_dev)
+                              float(params.c_belief), block_dev)
 
 
 def _feedback_gain_table(params: ModelParams, trader: TraderCoefficients,
-                         var_alpha: DeterministicTable, g2: DeterministicTable,
-                         c_belief: float) -> DeterministicTable:
+                         var_alpha: DeterministicTable,
+                         g2: DeterministicTable) -> DeterministicTable:
     _, _, p7, p8, sq = _p_matrices(trader.f1.values, trader.f2.values, trader.f3.values,
-                                   var_alpha.values, params, c_belief)
+                                   var_alpha.values, params)
     rows = (p7 + 2.0 * np.einsum("kj,kjl->kl", p8, g2.values)) / sq[:, None]
     return DeterministicTable("gains", g2.grid, rows)
 
 
-def broker_control(t: float, y, coeffs: BrokerCoefficients) -> float:
-    """Broker's lit-market rate for state y = (q_broker, alpha_hat, flow, q_trader)."""
-    return float(np.dot(coeffs.gains(t), np.asarray(y, dtype=float)))
-
-
-def broker_control_components(t: float, y, coeffs: BrokerCoefficients) -> np.ndarray:
-    """The four additive pieces of the rate, one per state coordinate."""
-    return coeffs.gains(t) * np.asarray(y, dtype=float)
-
-
-def broker_value(coeffs: BrokerCoefficients, t: float, price: float, cash: float, y) -> float:
-    """Value function of the broker's problem at the given state."""
-    y = np.asarray(y, dtype=float)
-    return cash + y[0] * price + coeffs.g0(t) + float(y @ coeffs.g2(t) @ y)
-
-
 def existence_diagnostic(params: ModelParams, trader: TraderCoefficients,
-                         var_alpha: DeterministicTable, grid: TimeGrid,
-                         c_belief: float = 1.0):
+                         var_alpha: DeterministicTable, grid: TimeGrid):
     """Eigenvalues (by descending magnitude) of the comparison matrix that
     certifies existence of the reduced Riccati solution, plus the determinant
     of its row-scaled version.  Existence requires the three leading
     eigenvalues negative and the fourth (and the determinant) zero.
     """
     u, v, bmat = _reduced_uvb(trader.f2.values, trader.f3.values, var_alpha.values,
-                              params, c_belief)
+                              params)
     cmat = np.array([[0.0, 0.0], [0.0, 1.0]])
     top_left = cmat @ v + _transpose(v) @ cmat + 2.0 * bmat
     top_right = cmat @ u

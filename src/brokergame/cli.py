@@ -33,8 +33,7 @@ from .sim import (RECORD_SERIES, StrategyConfig, build_coefficients, export_filt
 from .trader import export_trader_csv
 
 _GRID_KEYS = {"horizon": float, "steps": int}
-_STRATEGY_KEYS = {"signal_source": str, "mispecify_qi": str, "c_belief": float,
-                  "unwind_tail": int}
+_STRATEGY_KEYS = {"signal_source": str, "mispecify_qi": str, "unwind_tail": int}
 _EXPERIMENT_KEYS = {"paths": int, "seed": int, "chunk": int, "threads": int}
 _OUTPUT_KEYS = {"out_dir": str}
 
@@ -45,7 +44,6 @@ class RunConfig:
     grid: TimeGrid = TimeGrid()
     signal_source: str = "price"
     mispecify_qi: bool = False
-    c_belief: float | None = None
     unwind_tail: int = 10
     paths: int = 10000
     seed: int = 1729
@@ -56,8 +54,8 @@ class RunConfig:
     def strategy(self, broker_mode: str = "optimal") -> StrategyConfig:
         return StrategyConfig(
             broker_mode=broker_mode, signal_source=self.signal_source,
-            mispecify_qi=self.mispecify_qi, c_belief=self.c_belief,
-            seed=self.seed, unwind_tail=self.unwind_tail,
+            mispecify_qi=self.mispecify_qi, seed=self.seed,
+            unwind_tail=self.unwind_tail,
         )
 
 
@@ -108,8 +106,6 @@ def load_config(path: str | None) -> RunConfig:
         cfg.signal_source = skw["signal_source"]
     if "mispecify_qi" in skw:
         cfg.mispecify_qi = _parse_bool(skw["mispecify_qi"], "strategy.mispecify_qi")
-    if "c_belief" in skw:
-        cfg.c_belief = skw["c_belief"]
     if "unwind_tail" in skw:
         cfg.unwind_tail = skw["unwind_tail"]
     ekw = section_kwargs("experiment")
@@ -132,7 +128,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "mispecify_qi", False):
         cfg.mispecify_qi = True
     if getattr(args, "c_belief", None) is not None:
-        cfg.c_belief = args.c_belief
+        cfg.params = cfg.params.replace(c_belief=args.c_belief)
     if getattr(args, "out_dir", None) is not None:
         cfg.out_dir = args.out_dir
     if getattr(args, "threads", None) is not None:
@@ -150,7 +146,7 @@ def _outpath(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_coeffs(cfg: RunConfig) -> int:
-    bundle = build_coefficients(cfg.params, cfg.grid, c_belief=cfg.c_belief)
+    bundle = build_coefficients(cfg.params, cfg.grid)
     export_trader_csv(bundle.trader, _outpath(cfg, "trader_coefficients.csv"))
     export_broker_csv(bundle.broker, _outpath(cfg, "broker_coefficients.csv"))
     _write_eigen_csv(bundle.broker, _outpath(cfg, "eigenvalues.csv"))
@@ -165,7 +161,7 @@ def _write_eigen_csv(broker, path) -> None:
 
 
 def cmd_diag(cfg: RunConfig) -> int:
-    bundle = build_coefficients(cfg.params, cfg.grid, c_belief=cfg.c_belief)
+    bundle = build_coefficients(cfg.params, cfg.grid)
     _write_eigen_csv(bundle.broker, _outpath(cfg, "eigenvalues.csv"))
     ev = bundle.broker.eigvals.values
     det = np.abs(bundle.broker.det_scaled.values).max()
@@ -181,7 +177,7 @@ def cmd_diag(cfg: RunConfig) -> int:
 
 
 def cmd_path(cfg: RunConfig, n_band: int) -> int:
-    bundle = build_coefficients(cfg.params, cfg.grid, c_belief=cfg.c_belief)
+    bundle = build_coefficients(cfg.params, cfg.grid)
     result = simulate_path(cfg.params, bundle.trader, bundle.broker, bundle.flow,
                            cfg.strategy(), seed=cfg.seed)
     bands = None
@@ -246,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--benchmark", choices=("1", "2", "3", "all"), default="all")
     ap.add_argument("--mispecify-qi", dest="mispecify_qi", action="store_true",
                     help="draw the trader's true initial inventory from N(0,1)")
-    ap.add_argument("--c-belief", dest="c_belief", type=float)
+    ap.add_argument("--c-belief", dest="c_belief", type=float,
+                    help="the broker's belief in her own influence (sets [model] c_belief)")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--threads", type=int, help="worker cap (0 = all cores)")
     ap.add_argument("command", choices=("coeffs", "diag", "path", "experiment", "stress"))

@@ -1,4 +1,6 @@
-"""Runtime learning: the three path-coupled estimators and their gains.
+"""Filter gains and the deterministic tables of the broker's flow filter.
+
+The simulator runs three path-coupled estimators inside its step loop:
 
 * the trader's estimate of the broker's lit-market speed, driven by the
   drift-corrected price increments;
@@ -7,13 +9,14 @@
   informed client's (inventory-adjusted and rescaled) trading rate, plus the
   algebraic "naive" inversion of that rate.
 
-Estimator means follow Euler updates on the simulation grid; the conditional
-variances are deterministic and precomputed once per parameter set.
+This module holds what those updates need that does not depend on the path:
+the innovation gains of the two price-driven filters and the flow filter's
+drift, noise and variance tables, precomputed once per parameter set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +26,11 @@ from .params import ModelParams
 from .trader import TraderCoefficients
 
 __all__ = [
-    "FilterState",
-    "update_trader_filter",
-    "update_broker_price_filter",
-    "update_broker_flow_filter",
     "FlowFilterCoefficients",
     "flow_filter_coefficients",
-    "naive_alpha",
     "trader_filter_gain",
     "price_filter_gain",
 ]
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Mean/variance pair of one estimator on one path."""
-
-    mean: float
-    variance: float
-    kind: str = "trader_nu"   # trader_nu | broker_price | broker_flow
 
 
 def trader_filter_gain(var_nu_t, params: ModelParams):
@@ -61,52 +50,29 @@ def price_filter_gain(var_alpha_t, params: ModelParams):
         / params.sigma_price ** 2
 
 
-def update_trader_filter(state: FilterState, dy: float, dt: float,
-                         var_nu_t: float, params: ModelParams) -> FilterState:
-    """One Euler step of the speed estimate given the observed increment
-    dy = dS - alpha dt.  The variance is deterministic; callers read it from
-    the precomputed table (the returned state carries the value passed in).
-    """
-    gain = trader_filter_gain(var_nu_t, params)
-    innov = dy - params.perm_impact * state.mean * dt
-    mean = state.mean - params.theta_speed * state.mean * dt + gain * innov
-    return replace(state, mean=mean, variance=var_nu_t)
-
-
-def update_broker_price_filter(state: FilterState, dz: float, dt: float,
-                               var_alpha_t: float, params: ModelParams) -> FilterState:
-    """One Euler step of the price-based signal estimate given
-    dz = dS - perm_impact * nu dt."""
-    gain = price_filter_gain(var_alpha_t, params)
-    innov = dz - state.mean * dt
-    mean = state.mean - params.kappa_signal * state.mean * dt + gain * innov
-    return replace(state, mean=mean, variance=var_alpha_t)
-
-
 @dataclass(frozen=True)
 class FlowFilterCoefficients:
-    """Deterministic coefficients of the flow-based signal filter.
+    """Deterministic tables of the flow-based signal filter, as the step loop
+    reads them.
 
     The observed client rate, net of its inventory loading, is
-    ``f1*alpha + f2*nu_hat``; dividing by the composite diffusion ``scale``
-    turns it into a unit-noise observation of the signal.  All tables live on
-    the shared grid.  ``scale`` vanishes at the horizon, so the two drift
-    ratios that blow up there (``drift_scale``, ``drift_flow``) and
+    ``f1*alpha + f2*nu_hat``; dividing by its composite diffusion
+    ``scale = sqrt(g3^2 + g4^2 + 2 rho g3 g4)`` (signal loading
+    ``g3 = sigma_signal f1``, price loading ``g4 = (perm_impact/sigma_price)
+    var_nu f2``) turns it into a unit-noise observation of the signal.  All
+    tables live on the shared grid.  ``scale`` vanishes at the horizon, so the
+    two drift ratios that blow up there (``drift_scale``, ``drift_flow``) and
     ``inv_scale`` reuse the last interior value, while the ratios with finite
     limits carry their limit value at the final node.
     """
 
     grid: TimeGrid
-    load_signal: DeterministicTable    # diffusion loading on the signal noise
-    load_price: DeterministicTable     # diffusion loading on the price noise
-    scale: DeterministicTable          # composite diffusion of the adjusted flow
-    inv_scale: DeterministicTable
+    inv_scale: DeterministicTable        # 1 / scale
     drift_scale: DeterministicTable      # -scale'/scale
     drift_signal: DeterministicTable     # signal drift of the unit-noise observation
     drift_flow: DeterministicTable
     drift_rate: DeterministicTable
     noise_mix: DeterministicTable        # correlation loading of the composite noise
-    unit_response: DeterministicTable    # speed loading per unit of permanent impact
     var_alt: DeterministicTable          # conditional variance of the flow filter
 
 
@@ -142,7 +108,7 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
         return th * u - g2s[backward.index(t)] * u / (2.0 * b) - 1.0
 
     unit = rk4_integrate(unit_rhs, 0.0, grid, direction=backward.direction,
-                         name="unit_response")
+                         name="unit")
     uv = unit.values
     if np.any(uv[:-1] <= 0.0):
         raise FilterDegeneracyError("unit speed response vanished before the horizon")
@@ -222,51 +188,11 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
 
     return FlowFilterCoefficients(
         grid=grid,
-        load_signal=tbl("load_signal", g3),
-        load_price=tbl("load_price", g4),
-        scale=tbl("scale", g5),
         inv_scale=tbl("inv_scale", inv_g5),
         drift_scale=tbl("drift_scale", g6),
         drift_signal=drift_signal,
         drift_flow=tbl("drift_flow", g8),
         drift_rate=tbl("drift_rate", g9),
         noise_mix=noise_mix,
-        unit_response=unit,
         var_alt=var_alt,
     )
-
-
-def update_broker_flow_filter(state: FilterState, dz: float, dt: float,
-                              coeffs: FlowFilterCoefficients, t: float,
-                              params: ModelParams) -> FilterState:
-    """One Euler step of the flow-based signal estimate.
-
-    ``dz`` is the increment of the unit-noise observation (the rescaled,
-    drift-corrected adjusted flow); the innovation subtracts the estimate's
-    own predicted drift.
-    """
-    g7 = coeffs.drift_signal(t)
-    var = coeffs.var_alt(t)
-    gain = g7 * var + params.sigma_signal * coeffs.noise_mix(t)
-    innov = dz - g7 * state.mean * dt
-    mean = state.mean - params.kappa_signal * state.mean * dt + gain * innov
-    if not np.isfinite(mean):
-        raise FilterDegeneracyError(f"flow filter produced a non-finite mean at t={t:.6g}")
-    return replace(state, mean=mean, variance=var)
-
-
-def naive_alpha(t: float, eta_star: float, q_belief: float,
-                trader: TraderCoefficients) -> float:
-    """Algebraic signal estimate: invert the client's rate after stripping the
-    inventory term.  At the horizon the loadings vanish, so the last interior
-    node is used there."""
-    g = trader.f1.grid
-    if t >= g.horizon - 1e-9 * max(1.0, g.horizon):
-        f1 = trader.f1.at_index(g.steps - 1)
-        f3 = trader.f3.at_index(g.steps - 1)
-    else:
-        f1 = trader.f1(t)
-        f3 = trader.f3(t)
-    if abs(f1) < 1e-14:
-        raise FilterDegeneracyError(f"signal loading ~ 0 at t={t:.6g}; estimate undefined")
-    return (eta_star - f3 * q_belief) / f1

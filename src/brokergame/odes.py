@@ -98,19 +98,8 @@ class DeterministicTable:
     def at_index(self, k: int):
         return self.values[k]
 
-    def __len__(self):
-        return self.values.shape[0]
-
     def __repr__(self):
         return f"DeterministicTable({self.name!r}, steps={self.grid.steps}, shape={self.values.shape})"
-
-    def to_csv(self, path_or_file) -> None:
-        """Dump the table as `t,value...` rows at full double precision."""
-        flat = self.values.reshape(self.values.shape[0], -1)
-        header = ["t"] + (
-            ["value"] if flat.shape[1] == 1 else [f"value{i}" for i in range(flat.shape[1])]
-        )
-        write_columns_csv(path_or_file, header, [self.grid.times] + [flat[:, j] for j in range(flat.shape[1])])
 
 
 def write_columns_csv(path_or_file, header, columns) -> None:

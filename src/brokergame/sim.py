@@ -68,7 +68,6 @@ class StrategyConfig:
     broker_mode: str = "optimal"
     signal_source: str = "price"
     mispecify_qi: bool = False
-    c_belief: float | None = None
     seed: int = 1729
     unwind_tail: int = 10
 
@@ -89,11 +88,10 @@ class CoefficientBundle:
 
 
 def build_coefficients(params: ModelParams, grid: TimeGrid,
-                       c_belief: float | None = None,
                        with_flow: bool = True) -> CoefficientBundle:
     """Solve every deterministic table needed by the simulator."""
     trader = solve_trader(params, grid)
-    broker = solve_broker(params, trader, grid, c_belief=c_belief)
+    broker = solve_broker(params, trader, grid)
     flow = flow_filter_coefficients(trader, params, grid) if with_flow else None
     return CoefficientBundle(trader, broker, flow)
 
@@ -498,7 +496,7 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
 
     seed = config.seed if base_seed is None else int(base_seed)
     if bundle is None:
-        bundle = build_coefficients(params, grid, c_belief=config.c_belief)
+        bundle = build_coefficients(params, grid)
     tables = _Tables(params, params, bundle)
     jobs = [(tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
     per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, seed, grid.steps, n_paths,

@@ -1,4 +1,4 @@
-"""Informed trader: speed-filter variance, coefficient system and feedback rate.
+"""Informed trader: speed-filter variance, coefficient system and feedback loadings.
 
 The trader watches the drift-corrected price increments to estimate the
 broker's lit-market speed, then trades at a rate that is linear in his signal,
@@ -9,7 +9,6 @@ integrated backward from zero terminal conditions on the shared grid.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "solve_inventory_coeff",
     "solve_linear_coeffs",
     "solve_trader",
-    "trader_control",
-    "trader_value",
     "export_trader_csv",
 ]
 
@@ -157,13 +154,11 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
     return tables
 
 
-def solve_trader(params: ModelParams, grid: TimeGrid,
-                 strict_admissibility: bool = True) -> TraderCoefficients:
+def solve_trader(params: ModelParams, grid: TimeGrid) -> TraderCoefficients:
     """Solve the full trader system and derive the feedback loadings f1, f2, f3.
 
     The broker's matrix Riccati is only well-posed when 1 + fee_informed*f3 > 0
-    on the whole grid; by default a violation is a hard error
-    (``strict_admissibility=False`` downgrades it to a warning).
+    on the whole grid; a violation raises ``AdmissibilityError``.
     """
     var_nu = solve_speed_filter_variance(params, grid)
     g2 = solve_inventory_coeff(params, var_nu, grid)
@@ -174,28 +169,10 @@ def solve_trader(params: ModelParams, grid: TimeGrid,
     f3 = DeterministicTable("f3", grid, g2.values / b)
     margin = 1.0 + b * f3.values
     if np.any(margin <= 0.0):
-        msg = (f"admissibility violated: min(1 + fee_informed*f3) = {margin.min():.3e} <= 0; "
-               "reduce fees or terminal penalties")
-        if strict_admissibility:
-            raise AdmissibilityError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+        raise AdmissibilityError(
+            f"admissibility violated: min(1 + fee_informed*f3) = {margin.min():.3e} <= 0; "
+            "reduce fees or terminal penalties")
     return TraderCoefficients(grid, var_nu, g2, *z, f1, f2, f3)
-
-
-def trader_control(t: float, alpha: float, nu_hat: float, q: float,
-                   coeffs: TraderCoefficients) -> float:
-    """Feedback trading rate at time t: linear in signal, estimate and inventory."""
-    return coeffs.f1(t) * alpha + coeffs.f2(t) * nu_hat + coeffs.f3(t) * q
-
-
-def trader_value(coeffs: TraderCoefficients, t: float, price: float, cash: float,
-                 q: float, alpha: float, nu_hat: float) -> float:
-    """Value function of the trader's problem at the given state."""
-    g0 = (coeffs.z3(t) + coeffs.z4(t) * alpha + coeffs.z5(t) * nu_hat
-          + coeffs.z6(t) * alpha * nu_hat + coeffs.z7(t) * alpha ** 2
-          + coeffs.z8(t) * nu_hat ** 2)
-    g1 = coeffs.z1(t) * alpha + coeffs.z2(t) * nu_hat
-    return cash + q * price + g0 + q * g1 + q * q * coeffs.g2(t)
 
 
 def export_trader_csv(coeffs: TraderCoefficients, path_or_file) -> None:

@@ -130,7 +130,7 @@ def test_criterion_5_coefficient_properties(params, grid1000, bundle):
 
     def g1_rhs(t, g1):
         p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t),
-                                        br.var_alpha(t), params, 1.0)
+                                        br.var_alpha(t), params)
         g2 = br.g2(t)
         return -(g1 @ p2.T + 2.0 * (g1 @ np.outer(p8, p7))
                  + 4.0 * (g1 @ np.outer(p8, p8)) @ g2)
@@ -272,8 +272,8 @@ def test_criterion_10_second_order_belief(grid1000):
     """
     p10 = bg.DEFAULT_PARAMS.replace(beta0_trader=1e-5, beta0_broker=1e-5)
     tr = bg.solve_trader(p10, grid1000)
-    br1 = bg.solve_broker(p10, tr, grid1000, c_belief=1.0)
-    br0 = bg.solve_broker(p10, tr, grid1000, c_belief=0.0)
+    br1 = bg.solve_broker(p10.replace(c_belief=1.0), tr, grid1000)
+    br0 = bg.solve_broker(p10.replace(c_belief=0.0), tr, grid1000)
     foc, hjb = np.max([_broker_hjb_residuals(p10, tr, br) for br in (br0, br1)],
                       axis=0)
 

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import io
 import json
 import math
@@ -185,7 +187,7 @@ def _independent_stress(params, sweep, grid, config, n_paths, seed):
     """The stress sweep built cell by cell: own tables, a fresh true trader,
     all four arms on freshly drawn noise."""
     def cell(model):
-        bundle = bg.build_coefficients(model, grid, c_belief=config.c_belief)
+        bundle = bg.build_coefficients(model, grid)
         tables = _Tables(params, model, bundle, trader_true=bg.solve_trader(params, grid))
         q0, eps = _draw_noise(seed, range(n_paths), grid.steps)
         per_arm = {arm: _simulate_core(tables, replace(config, broker_mode=arm), eps, q0,
@@ -243,3 +245,23 @@ def test_stress_runner_shares_noise_and_true_trader(params, monkeypatch):
     assert len(seen["noise"]) == 3
     assert seen["trader"].count(params) == 1 and len(seen["trader"]) == 1 + 8
     assert seen["arms"] == 3 * (list(BROKER_MODES) + ["optimal"] * 8)
+
+
+def test_public_names_match_module_all():
+    # every name a module exports resolves, and every name the package
+    # re-exports from a module is in that module's __all__ (so a star import
+    # of the module gives the same names; a module without __all__ exports
+    # its names without a leading underscore)
+    tree = ast.parse(open(bg.__file__, encoding="utf-8").read())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert "analytics" in imported and "sim" in imported
+    for name, names in sorted(imported.items()):
+        module = importlib.import_module(f"brokergame.{name}")
+        exported = set(getattr(module, "__all__",
+                               [n for n in vars(module) if not n.startswith("_")]))
+        missing = [n for n in exported if not hasattr(module, n)]
+        assert not missing, (name, missing)
+        assert names <= exported, (name, sorted(names - exported))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import brokergame as bg
-from brokergame.broker import (_p_matrices, _reduced_uvb, build_p_matrices,
-                               export_broker_csv, solve_price_filter_variance)
+from brokergame.broker import (_p9, _p_matrices, _reduced_uvb, export_broker_csv,
+                               solve_price_filter_variance)
 from brokergame.odes import riccati_constant_solution, rk4_integrate
 
 
@@ -35,7 +35,8 @@ def test_p_matrices_zero_impact(grid200):
     p0 = bg.DEFAULT_PARAMS.replace(perm_impact=0.0)
     tr = bg.solve_trader(p0, grid200)
     va = solve_price_filter_variance(p0, grid200)
-    p2, p5, p7, p8, p9 = build_p_matrices(0.37, tr, va, p0)
+    t = 0.37
+    p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t), va(t), p0)
     assert np.all(p7 == 0.0)
     a = p0.temp_impact
     assert np.allclose(p8, [1.0 / (2.0 * math.sqrt(a)), 0.0, 0.0, 0.0])
@@ -43,12 +44,16 @@ def test_p_matrices_zero_impact(grid200):
 
 
 def test_p9_identity(params, grid1000, bundle):
+    # P9 = 2 P8 P7^T + P2^T has no (alpha_hat, flow) -> (q_broker, q_trader)
+    # entries: P2's row 0 is zero, its row 3 reads only q_broker and q_trader,
+    # and P8 lives on {q_broker, q_trader}; the corner of the linear term
+    # then closes on itself, which the reduced 2x2 solve relies on
+    tr, va = bundle.trader, bundle.broker.var_alpha
     rng = np.random.default_rng(5)
     for t in rng.uniform(0.0, 1.0, 5):
-        p2, p5, p7, p8, p9 = build_p_matrices(t, bundle.trader,
-                                              bundle.broker.var_alpha, params)
-        ref = 2.0 * np.outer(p8, p7) + p2.T
-        assert np.abs(p9 - ref).max() < 1e-14
+        p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t), va(t), params)
+        p9 = _p9(p2, p7, p8)
+        assert np.all(p9[np.ix_([1, 2], [0, 3])] == 0.0)
         assert np.abs(p5 - p5.T).max() == 0.0
 
 
@@ -89,7 +94,7 @@ def test_linear_vector_term_stays_zero(params, grid1000, bundle):
 
     def rhs(t, g1):
         p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t),
-                                        br.var_alpha(t), params, 1.0)
+                                        br.var_alpha(t), params)
         g2 = br.g2(t)
         return -(g1 @ p2.T + 2.0 * (g1 @ np.outer(p8, p7))
                  + 4.0 * (g1 @ np.outer(p8, p8)) @ g2)
@@ -135,48 +140,26 @@ def test_eigen_diagnostic_default(bundle):
     assert np.abs(bundle.broker.det_scaled.values).max() < 1e-8
 
 
-def test_control_zero_state(bundle):
-    assert bg.broker_control(0.5, np.zeros(4), bundle.broker) == 0.0
-
-
-def test_control_components_sum(bundle):
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        t = rng.uniform(0.0, 1.0)
-        y = rng.standard_normal(4)
-        total = bg.broker_control(t, y, bundle.broker)
-        comps = bg.broker_control_components(t, y, bundle.broker)
-        assert abs(comps.sum() - total) < 1e-12
-
-
 def test_pure_unwind_sign_at_zero_impact(grid200):
     p0 = bg.DEFAULT_PARAMS.replace(perm_impact=0.0)
     tr = bg.solve_trader(p0, grid200)
     br = bg.solve_broker(p0, tr, grid200)
-    for q in (-3.0, -0.5, 0.5, 3.0):
-        rate = bg.broker_control(0.2, (q, 0.0, 0.0, 0.0), br)
-        assert np.sign(rate) == -np.sign(q)
+    # the rate on the broker's own inventory unwinds it
+    assert br.gains(0.2)[0] < 0.0
 
 
 def test_belief_sweep_continuity(params, grid200):
     tr = bg.solve_trader(params, grid200)
     gains = {}
     for c in (0.0, 0.5, 1.0):
-        br = bg.solve_broker(params, tr, grid200, c_belief=c)
+        br = bg.solve_broker(params.replace(c_belief=c), tr, grid200)
+        assert br.c_belief == c
         gains[c] = br.gains.values
         assert np.all(np.isfinite(gains[c]))
     step1 = np.abs(gains[0.5] - gains[0.0]).max()
     step2 = np.abs(gains[1.0] - gains[0.5]).max()
     scale = np.abs(gains[1.0]).max()
     assert step1 < 0.05 * scale and step2 < 0.05 * scale
-
-
-def test_value_function(bundle):
-    br = bundle.broker
-    y = np.array([1.0, 0.2, -3.0, 0.5])
-    t, s, x = 0.3, 99.0, -2.0
-    ref = x + y[0] * s + br.g0(t) + y @ br.g2(t) @ y
-    assert bg.broker_value(br, t, s, x, y) == pytest.approx(ref, abs=1e-12)
 
 
 def test_csv_export_shape(bundle, grid1000):
@@ -193,8 +176,9 @@ def test_reduced_matrices_match_block_of_full(params, grid1000, bundle):
     # U, V, B are the corner restriction of the full-system matrices
     tr, br = bundle.trader, bundle.broker
     for t in (0.1, 0.6, 0.95):
-        u, v, bmat = _reduced_uvb(tr.f2(t), tr.f3(t), br.var_alpha(t), params, 1.0)
-        p2, p5, p7, p8, p9 = build_p_matrices(t, tr, br.var_alpha, params)
+        u, v, bmat = _reduced_uvb(tr.f2(t), tr.f3(t), br.var_alpha(t), params)
+        p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t), br.var_alpha(t), params)
+        p9 = _p9(p2, p7, p8)
         idx = np.ix_([0, 3], [0, 3])
         assert np.abs(4.0 * np.outer(p8, p8)[idx] - u).max() < 1e-12 * np.abs(u).max()
         assert np.abs(p9[idx] - v).max() < 1e-12 * np.abs(v).max()

@@ -166,3 +166,21 @@ def test_flag_overrides(tmp_path, small_ini):
                  "--seed", "11", "--mode", "flow", "experiment"]) == 0
     doc = json.loads(_read(out / "report.json"))
     assert doc["n_paths"] == 7 and doc["base_seed"] == 11 and doc["mode"] == "flow"
+
+
+def test_c_belief_flag_sets_model_field(tmp_path, capsys):
+    # the broker's belief has one home, ModelParams.c_belief: the INI key and
+    # the flag give byte-identical reports that record the value
+    base = "[grid]\nsteps = 50\n\n[experiment]\npaths = 20\nseed = 8\n"
+    ini = _write(tmp_path / "model.ini", base + "\n[model]\nc_belief = 0\n")
+    plain = _write(tmp_path / "plain.ini", base)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--config", ini, "--out-dir", str(a), "experiment"]) == 0
+    assert main(["--config", plain, "--out-dir", str(b), "--c-belief", "0",
+                 "experiment"]) == 0
+    assert _read(a / "report.json") == _read(b / "report.json")
+    assert json.loads(_read(a / "report.json"))["c_belief"] == 0.0
+    assert b'"c_belief": 0.0' in _read(a / "report.json")
+    old = _write(tmp_path / "old.ini", base + "\n[strategy]\nc_belief = 0\n")
+    assert main(["--config", old, "experiment"]) == 2
+    assert "c_belief" in capsys.readouterr().err

@@ -24,6 +24,47 @@ def test_zero_noise_zero_state_fixed_point(grid200):
         assert np.all(getattr(res, name) == 0.0), name
 
 
+def test_estimators_follow_their_filter_recursions(params, grid200, bundle200):
+    # each estimator on a recorded path, rebuilt node by node from the other
+    # recorded series and the arrays the step loop reads; no mean starts at 0
+    tr, br, fl = bundle200.trader, bundle200.broker, bundle200.flow
+    tb = _Tables(params, params, bundle200)
+    p, n, dt = params, grid200.steps, grid200.dt
+    ss, sa = p.sigma_price, p.sigma_signal
+    assert np.array_equal(tb.gain_nu, p.perm_impact * tr.var_nu.values / ss ** 2)
+    assert np.array_equal(tb.gain_price, (br.var_alpha.values + p.rho * ss * sa) / ss ** 2)
+    assert np.array_equal(tb.gain_flow, fl.drift_signal.values * fl.var_alt.values
+                          + sa * fl.noise_mix.values)
+    close = lambda got, ref: np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    init = {"nu_hat": 3.0, "alpha_hat_price": -0.8, "alpha_hat_flow": 0.6}
+    last = np.minimum(np.arange(n + 1), n - 1)
+    for source in ("price", "flow", "naive"):
+        r = bg.simulate_path(p, tr, br, fl, bg.StrategyConfig(signal_source=source),
+                             seed=61, init=init)
+        nu, dprice = r.rate_broker[:-1], np.diff(r.price)
+
+        nu_hat = r.nu_hat[:-1]
+        dy = dprice - r.signal[:-1] * dt
+        close(r.nu_hat[1:], nu_hat - tb.theta_trader * nu_hat * dt
+              + tb.gain_nu[:-1] * (dy - p.perm_impact * nu_hat * dt))
+
+        a = r.alpha_hat_price[:-1]
+        dz = dprice - p.perm_impact * nu * dt
+        close(r.alpha_hat_price[1:], a - tb.kappa_model * a * dt
+              + tb.gain_price[:-1] * (dz - a * dt))
+
+        gamma = r.rate_trader - tb.f3_belief * r.q_trader_belief
+        ztil = gamma * tb.inv_scale
+        a = r.alpha_hat_flow[:-1]
+        dzf = np.diff(ztil) - (tb.g6[:-1] * ztil[:-1] + tb.g8[:-1] * gamma[:-1]
+                               + tb.g9[:-1] * nu) * dt
+        close(r.alpha_hat_flow[1:], a - tb.kappa_model * a * dt
+              + tb.gain_flow[:-1] * (dzf - tb.g7[:-1] * a * dt))
+
+        # the naive readout divides by the last interior loading at the horizon
+        close(r.alpha_hat_naive, gamma / tb.f1_belief[last])
+
+
 def test_inventory_and_cash_identities(bundle, params):
     res = bg.simulate_path(params, bundle.trader, bundle.broker, bundle.flow,
                            bg.StrategyConfig(), seed=77)
