@@ -16,7 +16,7 @@ from scipy import stats as sps
 
 from .broker import BrokerCoefficients
 from .errors import MetricUndefinedError, ValidationError
-from .odes import DeterministicTable, write_columns_csv
+from .odes import DeterministicTable, _write_text, write_columns_csv
 from .params import ModelParams
 from .trader import TraderCoefficients
 
@@ -179,8 +179,8 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
     )
 
 
-def report_to_json(report: ExperimentReport) -> str:
-    doc = {
+def _report_doc(report: ExperimentReport) -> dict:
+    return {
         "schema": report.schema,
         "mode": report.mode,
         "mispecify_qi": report.mispecify_qi,
@@ -202,7 +202,10 @@ def report_to_json(report: ExperimentReport) -> str:
         },
         "blown_paths": dict(sorted(report.blown_paths.items())),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def report_to_json(report: ExperimentReport) -> str:
+    return json.dumps(_report_doc(report), indent=2, sort_keys=True)
 
 
 def report_to_csv(report: ExperimentReport, path_or_file) -> None:
@@ -279,10 +282,9 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
 def stress_to_json(sr: StressReport) -> str:
     doc = {
         "schema": "brokergame.stress/1",
-        "base": json.loads(report_to_json(sr.base)),
+        "base": _report_doc(sr.base),
         "cells": [
-            {"param": c.param, "multiplier": c.multiplier,
-             "report": json.loads(report_to_json(c.report))}
+            {"param": c.param, "multiplier": c.multiplier, "report": _report_doc(c.report)}
             for c in sr.cells
         ],
     }
@@ -303,9 +305,4 @@ def stress_to_csv(sr: StressReport, path_or_file) -> None:
     rows("base", 1.0, sr.base)
     for c in sr.cells:
         rows(c.param, c.multiplier, c.report)
-    data = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(data)
-    else:
-        with open(path_or_file, "w", encoding="ascii", newline="") as fh:
-            fh.write(data)
+    _write_text(path_or_file, "\n".join(lines) + "\n")

@@ -60,10 +60,8 @@ def solve_price_filter_variance(params: ModelParams, grid: TimeGrid) -> Determin
         lin=2.0 * (-params.kappa_signal - cross),
         const=(1.0 - params.rho ** 2) * params.sigma_signal ** 2,
         boundary=0.0,
-        grid=grid,
-        direction="forward",
+        lattice=StageLattice(grid, substeps=4),
         name="var_alpha",
-        substeps=4,
     )
 
 
@@ -163,18 +161,15 @@ def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
     terminal[0, 0] = -(params.beta0_broker
                        + params.beta1_broker * var_alpha.at_index(grid.steps))
     lattice = StageLattice(grid, substeps=2, direction="backward")
-    at = lattice.index
     with np.errstate(over="ignore", invalid="ignore"):
         u, v, bmat = _reduced_uvb(*(x(lattice.times) for x in (trader.f2, trader.f3, var_alpha)),
                                   params)
 
-    def rhs(t, g):
-        i = at(t)
+    def rhs(i, g):
         lin = g @ v[i]
         return -(g @ u[i] @ g + lin + lin.T + bmat[i])
 
-    return rk4_integrate(rhs, terminal, grid, direction=lattice.direction,
-                         project=_symmetrize, name="g2_block", substeps=lattice.substeps)
+    return rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name="g2_block")
 
 
 def solve_broker(params: ModelParams, trader: TraderCoefficients,
@@ -193,7 +188,6 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
     terminal[0, 0] = -(params.beta0_broker
                        + params.beta1_broker * var_alpha.at_index(grid.steps))
     lattice = StageLattice(grid, substeps=2, direction="backward")
-    at = lattice.index
     with np.errstate(over="ignore", invalid="ignore"):
         p2, p5, p7, p8, _ = _p_matrices(
             *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)), params)
@@ -202,15 +196,13 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
     # pinned behind the build (2-3 MB of process peak when kept)
     del p2
 
-    def rhs(t, g):
-        i = at(t)
+    def rhs(i, g):
         gv = g @ p8[i]
         lin = g @ p9[i]
         return -(np.outer(p7[i], p7[i]) + 4.0 * np.outer(gv, gv) + lin + lin.T + p5[i])
 
     try:
-        g2_full = rk4_integrate(rhs, terminal, grid, direction=lattice.direction,
-                                project=_symmetrize, name="g2", substeps=lattice.substeps)
+        g2_full = rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name="g2")
         g2_block = solve_reduced_riccati(params, trader, var_alpha, grid)
     except IntegrationBlowupError as exc:
         raise ExistenceError(
@@ -241,8 +233,7 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
         flow_var = np.float64(params.sigma_flow) ** 2   # saturates to inf, never raises
         source = -(gain_sqs * g2s[:, 1, 1] + flow_var * g2s[:, 2, 2])
 
-    g0 = rk4_integrate(lambda t, y: source[nodes.index(t)], 0.0, grid,
-                       direction=nodes.direction, name="g0")
+    g0 = rk4_integrate(lambda i, y: source[i], 0.0, nodes, name="g0")
 
     gains = _feedback_gain_table(params, trader, var_alpha, g2)
     eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid)

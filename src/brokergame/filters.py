@@ -11,7 +11,10 @@ The simulator runs three path-coupled estimators inside its step loop:
 
 This module holds what those updates need that does not depend on the path:
 the innovation gains of the two price-driven filters and the flow filter's
-drift, noise and variance tables, precomputed once per parameter set.
+drift, noise and variance tables, precomputed once per parameter set.  The
+flow tables are formed from the trader's solved tables, including his speed
+response per unit of impact (``TraderCoefficients.unit``); the only ODE
+solved here is the flow filter's variance.
 """
 
 from __future__ import annotations
@@ -99,17 +102,9 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     if p > 0.0 and np.any(f2[:-1] <= 0.0):
         raise FilterDegeneracyError("f2 vanished before the horizon with perm_impact > 0")
 
-    backward = StageLattice(grid, direction="backward")
-    g2s = trader.g2(backward.times)
-
-    # speed loading per unit impact: f2 = perm_impact * unit / (2 fee); solving
-    # the unit-source form keeps the log-derivative of f2 well defined as p -> 0
-    def unit_rhs(t, u):
-        return th * u - g2s[backward.index(t)] * u / (2.0 * b) - 1.0
-
-    unit = rk4_integrate(unit_rhs, 0.0, grid, direction=backward.direction,
-                         name="unit")
-    uv = unit.values
+    # speed loading per unit impact (f2 = perm_impact * unit / (2 fee)) keeps
+    # the log-derivative of f2 well defined as p -> 0
+    uv = trader.unit.values
     if np.any(uv[:-1] <= 0.0):
         raise FilterDegeneracyError("unit speed response vanished before the horizon")
 
@@ -169,8 +164,7 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     tbl = lambda name, arr: DeterministicTable(name, grid, arr)
     drift_signal = tbl("drift_signal", g7)
     noise_mix = tbl("noise_mix", kmix)
-    forward = StageLattice(grid, direction="forward")
-    at = forward.index
+    forward = StageLattice(grid)
     g7s = drift_signal(forward.times)
     # var_alt' = sa^2 - 2 ka v - (g7 v + sa kmix)^2, expanded so that the
     # source sa^2 (1 - kmix^2) comes from the loadings: kmix is within 2e-8
@@ -180,11 +174,10 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
         decay = 2.0 * ka + 2.0 * sa * noise_mix(forward.times) * g7s
         g7sq = g7s * g7s
 
-    def var_rhs(t, v):
-        i = at(t)
+    def var_rhs(i, v):
         return source[i] - v * (decay[i] + g7sq[i] * v)
 
-    var_alt = rk4_integrate(var_rhs, 0.0, grid, direction=forward.direction, name="var_alt")
+    var_alt = rk4_integrate(var_rhs, 0.0, forward, name="var_alt")
 
     return FlowFilterCoefficients(
         grid=grid,

@@ -3,11 +3,13 @@
 Everything downstream (coefficient systems, filter variances, the matrix
 Riccati solve) runs on one uniform grid so that deterministic tables line up
 exactly with the Monte Carlo grid.  The integrator is classical fourth-order
-Runge-Kutta with a fixed step.  A solver evaluates each tabulated input once
-per solve, by linear interpolation on the ``StageLattice`` (every
-half-substep, the only times RK4 asks for), and its right-hand side indexes
-that array.  The linear interpolation makes the solved tables second order in
-``dt``, not fourth.
+Runge-Kutta with a fixed step.  A ``StageLattice`` describes one march (grid,
+substeps, direction) and the times of its stages, every half-substep; the
+integrator passes each right-hand side the index of its stage on that
+lattice, not a time.  A solver evaluates each tabulated input once per solve,
+by linear interpolation at the lattice times, and its right-hand side reads
+entry ``i`` of that array.  The linear interpolation makes the solved tables
+second order in ``dt``, not fourth.
 """
 
 from __future__ import annotations
@@ -112,7 +114,11 @@ def write_columns_csv(path_or_file, header, columns) -> None:
     buf.write(",".join(header) + "\n")
     for i in range(n):
         buf.write(",".join(FLOAT_FMT % c[i] for c in cols) + "\n")
-    data = buf.getvalue()
+    _write_text(path_or_file, buf.getvalue())
+
+
+def _write_text(path_or_file, data: str) -> None:
+    """Write ASCII text to an open file or to a path, with no newline translation."""
     if hasattr(path_or_file, "write"):
         path_or_file.write(data)
     else:
@@ -121,22 +127,24 @@ def write_columns_csv(path_or_file, header, columns) -> None:
 
 
 class StageLattice:
-    """The times at which ``rk4_integrate`` evaluates a right-hand side on
-    ``grid`` with ``substeps`` in ``direction``: every half-substep,
-    ``2 * substeps * steps + 1`` points in ascending order.
+    """One RK4 march on ``grid``: ``substeps`` equal RK4 steps per grid
+    interval, in ``direction``, and the times at which it evaluates a
+    right-hand side (every half-substep, ``2 * substeps * steps + 1`` points
+    in ascending order).
 
-    Each point is computed as the integrator computes it (a substep's start
-    ``t_k + j*sub``, its midpoint ``start + sub/2``), so the first three
-    stages of every substep see these exact times.  The fourth stage's
-    ``start + sub`` can differ from the next start by an ulp;
-    ``index`` maps it to that point.  A solver evaluates each tabulated input
-    once, as ``table(lattice.times)``, and its right-hand side reads entry
-    ``lattice.index(t)`` of the result.
+    ``rk4_integrate`` passes a right-hand side the index of its stage in
+    ``times``.  A solver evaluates each tabulated input once, as
+    ``table(lattice.times)``, and its right-hand side reads entry ``i`` of the
+    result.
     """
 
-    __slots__ = ("substeps", "direction", "times", "_per_time")
+    __slots__ = ("grid", "substeps", "direction", "times")
 
     def __init__(self, grid: TimeGrid, substeps: int = 1, direction: str = "forward"):
+        if direction not in ("forward", "backward"):
+            raise ValidationError(f"direction must be 'forward' or 'backward', got {direction!r}")
+        if int(substeps) != substeps or substeps < 1:
+            raise ValidationError(f"substeps must be an integer >= 1, got {substeps}")
         forward = direction == "forward"
         nodes = grid.times
         sub = (grid.dt if forward else -grid.dt) / substeps
@@ -146,66 +154,54 @@ class StageLattice:
             self.times = np.append(marched, nodes[-1])
         else:
             self.times = np.append(nodes[0], marched[:, ::-1])
-        self.substeps = substeps
+        self.grid = grid
+        self.substeps = int(substeps)
         self.direction = direction
-        self._per_time = (self.times.size - 1) / grid.horizon
-
-    def index(self, t) -> int:
-        """Lattice point of a stage time produced by ``rk4_integrate``."""
-        return round(t * self._per_time)
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
+def _rk4_step(rhs, i, di, y, h):
+    k1 = rhs(i, y)
+    k2 = rhs(i + di, y + 0.5 * h * k1)
+    k3 = rhs(i + di, y + 0.5 * h * k2)
+    k4 = rhs(i + 2 * di, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_integrate(rhs, boundary_value, grid: TimeGrid, direction: str = "forward",
-                  project=None, name: str = "rk4", substeps: int = 1) -> DeterministicTable:
-    """Integrate y' = rhs(t, y) over the grid with classical RK4.
+def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
+                  name: str = "rk4") -> DeterministicTable:
+    """Integrate y' = rhs(i, y) over ``lattice.grid`` with classical RK4.
 
-    direction="forward" starts from ``boundary_value`` at t=0; "backward"
-    stores ``boundary_value`` at t=horizon and marches toward t=0 (rhs is the
+    ``i`` is the index of the stage time in ``lattice.times``.  A forward
+    lattice starts from ``boundary_value`` at t=0; a backward one stores
+    ``boundary_value`` at t=horizon and marches toward t=0 (rhs is the
     ordinary time derivative in both cases; the step is just negated).  A
     scalar state is carried as a float, anything else as an ndarray.
 
     ``project`` is an optional map applied to the state after every grid step
-    (used e.g. to re-symmetrise matrix solutions).  ``substeps`` splits each
-    grid interval into that many equal RK4 steps; values are still stored at
-    the grid nodes only, so tables stay aligned with the simulation grid.
-    Every time passed to ``rhs`` is (to an ulp) a point of
-    ``StageLattice(grid, substeps, direction)``.
+    (used e.g. to re-symmetrise matrix solutions).  Values are stored at the
+    grid nodes only, whatever the lattice's substeps, so tables stay aligned
+    with the simulation grid.
     """
-    if direction not in ("forward", "backward"):
-        raise ValidationError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if substeps < 1:
-        raise ValidationError(f"substeps must be >= 1, got {substeps}")
+    grid, substeps = lattice.grid, lattice.substeps
     y = np.array(boundary_value, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValidationError(f"boundary value for '{name}' is not finite")
     out = np.empty((grid.steps + 1,) + y.shape, dtype=float)
     if y.ndim == 0:
         y = float(y)
-    times = grid.times.tolist()
-    if direction == "forward":
-        start, step = 0, 1
-    else:
-        start, step = grid.steps, -1
+    start, step = (0, 1) if lattice.direction == "forward" else (grid.steps, -1)
     sub = step * grid.dt / substeps
     out[start] = y
     # non-finite states are handled by the blow-up contract below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(start, start + step * grid.steps, step):
             for j in range(substeps):
-                y = _rk4_step(rhs, times[k] + j * sub, y, sub)
+                y = _rk4_step(rhs, 2 * (substeps * k + step * j), step, y, sub)
             if project is not None:
                 y = project(y)
             if not np.isfinite(y).all():
                 raise IntegrationBlowupError(
-                    f"'{name}' produced a non-finite value at t={times[k + step]:.10g}"
+                    f"'{name}' produced a non-finite value at t={grid.times[k + step]:.10g}"
                 )
             out[k + step] = y
     return DeterministicTable(name, grid, out)
@@ -217,10 +213,9 @@ def _on_lattice(c, lattice: StageLattice) -> np.ndarray:
     return np.full(lattice.times.shape, float(c))
 
 
-def solve_scalar_riccati(quad, lin, const, boundary: float, grid: TimeGrid,
-                         direction: str = "forward", name: str = "riccati",
-                         substeps: int = 1) -> DeterministicTable:
-    """Solve a scalar Riccati equation on the grid.
+def solve_scalar_riccati(quad, lin, const, boundary: float, lattice: StageLattice,
+                         name: str = "riccati") -> DeterministicTable:
+    """Solve a scalar Riccati equation on the lattice's grid.
 
     forward:   y' = const(t) + lin(t) y + quad(t) y^2,  y(0) = boundary
     backward:  0 = y' + const(t) + lin(t) y + quad(t) y^2,  y(horizon) = boundary
@@ -228,19 +223,13 @@ def solve_scalar_riccati(quad, lin, const, boundary: float, grid: TimeGrid,
     Coefficients may be numbers or DeterministicTables; tables are evaluated
     once, on the stage lattice.
     """
-    lattice = StageLattice(grid, substeps, direction)
-    q, l, c = (_on_lattice(x, lattice) for x in (quad, lin, const))
-    at = lattice.index
-    if direction == "forward":
-        def rhs(t, y):
-            i = at(t)
-            return c[i] + l[i] * y + q[i] * y * y
-    else:
-        def rhs(t, y):
-            i = at(t)
-            return -(c[i] + l[i] * y + q[i] * y * y)
-    return rk4_integrate(rhs, float(boundary), grid, direction=direction, name=name,
-                         substeps=substeps)
+    sign = 1.0 if lattice.direction == "forward" else -1.0
+    q, l, c = (sign * _on_lattice(x, lattice) for x in (quad, lin, const))
+
+    def rhs(i, y):
+        return c[i] + l[i] * y + q[i] * y * y
+
+    return rk4_integrate(rhs, float(boundary), lattice, name=name)
 
 
 def riccati_constant_solution(quad: float, lin: float, const: float, y0: float, t):

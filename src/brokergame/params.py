@@ -85,6 +85,8 @@ class ModelParams:
             v = getattr(self, f.name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValidationError(f"{f.name} must be a finite number, got {v!r}")
+            # an int and the equal float are one parameter set (and one digest)
+            object.__setattr__(self, f.name, float(v))
 
     def replace(self, **changes) -> "ModelParams":
         return dataclasses.replace(self, **changes)

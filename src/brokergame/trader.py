@@ -46,6 +46,7 @@ class TraderCoefficients:
     f1: DeterministicTable           # signal loading of the feedback rate
     f2: DeterministicTable           # speed-estimate loading
     f3: DeterministicTable           # inventory loading (negative)
+    unit: DeterministicTable         # speed response per unit of impact: z2 = perm_impact * unit
 
     @property
     def z_tables(self):
@@ -71,10 +72,8 @@ def solve_speed_filter_variance(params: ModelParams, grid: TimeGrid) -> Determin
         lin=-2.0 * params.theta_speed,
         const=params.sigma_speed ** 2,
         boundary=0.0,
-        grid=grid,
-        direction="forward",
+        lattice=StageLattice(grid, substeps=4),
         name="var_nu",
-        substeps=4,
     )
 
 
@@ -90,10 +89,8 @@ def solve_inventory_coeff(params: ModelParams, var_nu: DeterministicTable,
         const=DeterministicTable(
             "g2_source", grid, -(params.phi0_trader + params.phi1_trader * var_nu.values)),
         boundary=terminal,
-        grid=grid,
-        direction="backward",
+        lattice=StageLattice(grid, substeps=4, direction="backward"),
         name="g2",
-        substeps=4,
     )
     v = g2.values
     if np.any(v[:-1] >= 0.0) or v[-1] > 0.0:
@@ -110,7 +107,10 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
 
     Solved jointly as one vector ODE; the right-hand side is triangular in
     the order z1,z2 -> z6,z7,z8 -> z4,z5 -> z3, so stage values stay
-    consistent without intermediate interpolation.
+    consistent without intermediate interpolation.  The march carries the
+    speed response per unit of impact, ``unit``, and forms ``z2 =
+    perm_impact * unit`` from it; the flow filter divides by ``unit``, which
+    stays positive at zero impact.  Returns the tables z1..z8 and ``unit``.
     """
     p = params.perm_impact
     b = params.fee_informed
@@ -121,7 +121,6 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
     ratio = _impact_ratio(params)   # perm_impact / sigma_price
 
     lattice = StageLattice(grid, direction="backward")
-    at = lattice.index
     g2s, v = g2(lattice.times), var_nu(lattice.times)
     with np.errstate(over="ignore", invalid="ignore"):
         cross = (p * sa * rho * v / params.sigma_price if params.sigma_price
@@ -129,13 +128,13 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
         rv = ratio * v
         rv2 = rv * rv
 
-    def rhs(t, z):
-        z1, z2, z3, z4, z5, z6, z7, z8 = z
-        i = at(t)
+    def rhs(i, z):
+        z1, u, z3, z4, z5, z6, z7, z8 = z
+        z2 = p * u
         g = g2s[i]
         return np.array([
             ka * z1 - g * z1 / (2.0 * b) - 1.0,
-            th * z2 - g * z2 / (2.0 * b) - p,
+            th * u - g * u / (2.0 * b) - 1.0,
             -cross[i] * z6 - sa * sa * z7 - rv2[i] * z8,
             ka * z4 - g * z1 / (2.0 * b),
             th * z5 - g * z2 / (2.0 * b),
@@ -144,14 +143,14 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
             2.0 * th * z8 - z2 * z2 / (4.0 * b),
         ])
 
-    sol = rk4_integrate(rhs, np.zeros(8), grid, direction=lattice.direction, name="z")
-    tables = tuple(
-        DeterministicTable(f"z{i + 1}", grid, sol.values[:, i]) for i in range(8)
-    )
-    z1v, z2v = tables[0].values, tables[1].values
-    if np.any(z1v < -1e-12) or np.any(z2v < -1e-12):
+    sol = rk4_integrate(rhs, np.zeros(8), lattice, name="z").values
+    unit = DeterministicTable("unit", grid, sol[:, 1])
+    z = sol.copy()   # the unit table keeps a view of sol
+    z[:, 1] *= p
+    tables = tuple(DeterministicTable(f"z{i + 1}", grid, z[:, i]) for i in range(8))
+    if np.any(z[:, 0] < -1e-12) or np.any(z[:, 1] < -1e-12):
         raise ModelInconsistencyError("z1 and z2 must be non-negative on the grid")
-    return tables
+    return tables, unit
 
 
 def solve_trader(params: ModelParams, grid: TimeGrid) -> TraderCoefficients:
@@ -162,7 +161,7 @@ def solve_trader(params: ModelParams, grid: TimeGrid) -> TraderCoefficients:
     """
     var_nu = solve_speed_filter_variance(params, grid)
     g2 = solve_inventory_coeff(params, var_nu, grid)
-    z = solve_linear_coeffs(params, g2, var_nu, grid)
+    z, unit = solve_linear_coeffs(params, g2, var_nu, grid)
     b = params.fee_informed
     f1 = DeterministicTable("f1", grid, z[0].values / (2.0 * b))
     f2 = DeterministicTable("f2", grid, z[1].values / (2.0 * b))
@@ -172,7 +171,7 @@ def solve_trader(params: ModelParams, grid: TimeGrid) -> TraderCoefficients:
         raise AdmissibilityError(
             f"admissibility violated: min(1 + fee_informed*f3) = {margin.min():.3e} <= 0; "
             "reduce fees or terminal penalties")
-    return TraderCoefficients(grid, var_nu, g2, *z, f1, f2, f3)
+    return TraderCoefficients(grid, var_nu, g2, *z, f1, f2, f3, unit)
 
 
 def export_trader_csv(coeffs: TraderCoefficients, path_or_file) -> None:

@@ -14,7 +14,7 @@ from scipy import stats as sps
 import brokergame as bg
 from brokergame.broker import _p_matrices
 from brokergame.cli import main as cli_main
-from brokergame.odes import riccati_constant_solution, rk4_integrate
+from brokergame.odes import StageLattice, riccati_constant_solution, rk4_integrate
 from brokergame.sim import CoefficientBundle, _Tables, _draw_noise, _simulate_core
 
 pytestmark = pytest.mark.acceptance
@@ -127,16 +127,17 @@ def test_criterion_5_coefficient_properties(params, grid1000, bundle):
     zero_exact = np.all(tr0.z2.values == 0.0) and np.all(tr0.f2.values == 0.0)
 
     sym = np.abs(br.g2.values - br.g2.values.transpose(0, 2, 1)).max()
+    lattice = StageLattice(grid1000, direction="backward")
 
-    def g1_rhs(t, g1):
+    def g1_rhs(i, g1):
+        t = lattice.times[i]
         p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t),
                                         br.var_alpha(t), params)
         g2 = br.g2(t)
         return -(g1 @ p2.T + 2.0 * (g1 @ np.outer(p8, p7))
                  + 4.0 * (g1 @ np.outer(p8, p8)) @ g2)
 
-    g1_max = np.abs(rk4_integrate(g1_rhs, np.zeros(4), grid1000,
-                                  direction="backward").values).max()
+    g1_max = np.abs(rk4_integrate(g1_rhs, np.zeros(4), lattice).values).max()
     ok = (signs and zero_exact and sym < 1e-10 and g1_max < 1e-14
           and br.block_dev < 1e-8)
     assert _line(5, ok, f"signs = {signs}, zero-impact exact = {zero_exact}, "

@@ -170,6 +170,14 @@ def test_report_json_and_csv(params, grid200, bundle200):
     assert len(lines) == 4
 
 
+def test_params_digest_ignores_int_float_spelling(params):
+    # reports carry the digest, so an int field and the equal float must agree
+    for name in ("c_belief", "perm_impact"):
+        assert params.replace(**{name: 0}).digest() == params.replace(**{name: 0.0}).digest()
+    assert params.replace(c_belief=1).digest() == params.digest()
+    assert type(params.replace(perm_impact=0).perm_impact) is float
+
+
 def test_stress_csv_layout(params, grid200, bundle200):
     sr = bg.stress_runner(params, {"theta_speed": [0.5, 1.5]}, grid200,
                           bg.StrategyConfig(), 10, base_seed=2)

@@ -7,7 +7,7 @@ import pytest
 import brokergame as bg
 from brokergame.broker import (_p9, _p_matrices, _reduced_uvb, export_broker_csv,
                                solve_price_filter_variance)
-from brokergame.odes import riccati_constant_solution, rk4_integrate
+from brokergame.odes import StageLattice, riccati_constant_solution, rk4_integrate
 
 
 def test_price_variance_steady_state(params, grid1000, bundle):
@@ -91,15 +91,17 @@ def test_reduced_block_agreement(params, grid1000, bundle):
 def test_linear_vector_term_stays_zero(params, grid1000, bundle):
     # the vector coefficient solves a homogeneous ODE from zero
     tr, br = bundle.trader, bundle.broker
+    lattice = StageLattice(grid1000, direction="backward")
 
-    def rhs(t, g1):
+    def rhs(i, g1):
+        t = lattice.times[i]
         p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t),
                                         br.var_alpha(t), params)
         g2 = br.g2(t)
         return -(g1 @ p2.T + 2.0 * (g1 @ np.outer(p8, p7))
                  + 4.0 * (g1 @ np.outer(p8, p8)) @ g2)
 
-    tab = rk4_integrate(rhs, np.zeros(4), grid1000, direction="backward")
+    tab = rk4_integrate(rhs, np.zeros(4), lattice)
     assert np.abs(tab.values).max() < 1e-14
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,23 @@ def test_flow_coeffs_unit_response_consistent(params, bundle, grid1000):
     assert np.abs(fl.drift_flow.values[:n] / ref - 1.0).max() < 1e-12
 
 
+def test_build_marches_each_system_once(params, grid200, monkeypatch):
+    # the flow filter reads the trader's unit speed response instead of
+    # marching it again
+    integrate = bg.odes.rk4_integrate
+    signature = inspect.signature(integrate)
+    names = []
+
+    def spy(*args, **kwargs):
+        names.append(signature.bind(*args, **kwargs).arguments.get("name", "rk4"))
+        return integrate(*args, **kwargs)
+
+    for module in (bg.odes, bg.trader, bg.broker, bg.filters):
+        monkeypatch.setattr(module, "rk4_integrate", spy)
+    bg.build_coefficients(params, grid200)
+    assert names == ["var_nu", "g2", "z", "var_alpha", "g2", "g2_block", "g0", "var_alt"]
+
+
 def test_flow_coeffs_horizon_limits(params, bundle, grid1000):
     fl = bundle.flow
     n = grid1000.steps
@@ -111,8 +130,8 @@ def test_flow_coeffs_horizon_limits(params, bundle, grid1000):
 def test_flow_variance_constant_coefficient_oracle(grid1000):
     # variance recursion with frozen gain terms reduces to a constant Riccati
     sa, ka, g7 = 1.0, 5.0, 3.0
-    rhs = lambda t, v: sa ** 2 - 2.0 * ka * v - (g7 * v) ** 2
-    tab = bg.rk4_integrate(rhs, np.asarray(0.0), grid1000, name="var")
+    rhs = lambda i, v: sa ** 2 - 2.0 * ka * v - (g7 * v) ** 2
+    tab = bg.rk4_integrate(rhs, np.asarray(0.0), StageLattice(grid1000), name="var")
     oracle = riccati_constant_solution(-g7 * g7, -2.0 * ka, sa ** 2, 0.0, grid1000.times)
     assert np.abs(tab.values - oracle).max() < 1e-8
 

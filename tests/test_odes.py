@@ -28,20 +28,20 @@ def test_grid_validation():
 
 def test_rk4_zero_field_constant():
     g = bg.TimeGrid(2.0, 50)
-    tab = bg.rk4_integrate(lambda t, y: 0.0 * y, np.asarray(3.5), g)
+    tab = bg.rk4_integrate(lambda i, y: 0.0 * y, np.asarray(3.5), StageLattice(g))
     assert np.all(tab.values == 3.5)
 
 
 def test_rk4_backward_linear_field_exact():
     g = bg.TimeGrid(1.0, 100)
-    tab = bg.rk4_integrate(lambda t, y: -1.0 + 0.0 * y, np.asarray(0.0), g,
-                           direction="backward")
+    tab = bg.rk4_integrate(lambda i, y: -1.0 + 0.0 * y, np.asarray(0.0),
+                           StageLattice(g, direction="backward"))
     assert np.allclose(tab.values, g.horizon - g.times, rtol=0, atol=1e-14)
 
 
 def test_rk4_exponential():
     g = bg.TimeGrid(1.0, 1000)
-    tab = bg.rk4_integrate(lambda t, y: y, np.asarray(1.0), g)
+    tab = bg.rk4_integrate(lambda i, y: y, np.asarray(1.0), StageLattice(g))
     assert abs(tab.at_index(1000) - math.e) < 1e-10
 
 
@@ -50,7 +50,7 @@ def test_rk4_fourth_order_convergence():
     errs = []
     for n in (20, 40):
         g = bg.TimeGrid(1.0, n)
-        tab = bg.rk4_integrate(lambda t, y: y, np.asarray(1.0), g)
+        tab = bg.rk4_integrate(lambda i, y: y, np.asarray(1.0), StageLattice(g))
         errs.append(np.abs(tab.values - np.exp(g.times)).max())
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
@@ -59,14 +59,14 @@ def test_rk4_fourth_order_convergence():
 def test_rk4_blowup_names_time():
     g = bg.TimeGrid(1.0, 100)
     with pytest.raises(IntegrationBlowupError, match="t="):
-        bg.rk4_integrate(lambda t, y: y * y, np.asarray(3.0), g)
+        bg.rk4_integrate(lambda i, y: y * y, np.asarray(3.0), StageLattice(g))
 
 
 def test_riccati_steady_state():
     # y' = b^2 - 2 theta y - p y^2 from 0 settles at the positive root
     b, theta, pq = 60.0, 10.0, 1e-6
     g = bg.TimeGrid(1.0, 1000)
-    tab = bg.solve_scalar_riccati(-pq, -2.0 * theta, b * b, 0.0, g)
+    tab = bg.solve_scalar_riccati(-pq, -2.0 * theta, b * b, 0.0, StageLattice(g))
     target = (-theta + math.sqrt(theta * theta + pq * b * b)) / pq
     assert abs(tab.at_index(1000) - target) / target < 1e-3
     assert abs(target - 179.99838) < 1e-3
@@ -75,8 +75,9 @@ def test_riccati_steady_state():
 def test_riccati_degenerate_quadratic_matches_linear():
     g = bg.TimeGrid(1.0, 400)
     lin, const = -1.3, 0.7
-    tab = bg.solve_scalar_riccati(0.0, lin, const, 0.2, g)
-    ref = bg.rk4_integrate(lambda t, y: const + lin * y, np.asarray(0.2), g)
+    lattice = StageLattice(g)
+    tab = bg.solve_scalar_riccati(0.0, lin, const, 0.2, lattice)
+    ref = bg.rk4_integrate(lambda i, y: const + lin * y, np.asarray(0.2), lattice)
     assert np.abs(tab.values - ref.values).max() < 1e-12
 
 
@@ -94,13 +95,14 @@ def test_riccati_oracle_satisfies_ode():
 def test_riccati_constant_random_draws_match_oracle():
     rng = np.random.default_rng(31)
     g = bg.TimeGrid(1.0, 1000)
+    lattice = StageLattice(g)
     worst = 0.0
     for _ in range(10):
         q = -rng.uniform(0.1, 2.0)
         l = -rng.uniform(0.5, 3.0)
         c = rng.uniform(0.5, 3.0)
         y0 = rng.uniform(0.0, 0.5)
-        tab = bg.solve_scalar_riccati(q, l, c, y0, g)
+        tab = bg.solve_scalar_riccati(q, l, c, y0, lattice)
         worst = max(worst, np.abs(tab.values
                                   - riccati_constant_solution(q, l, c, y0, g.times)).max())
     assert worst < 1e-8
@@ -111,9 +113,10 @@ def test_riccati_constant_random_draws_match_oracle():
        y1=st.floats(-2.0, 2.0))
 def test_backward_then_forward_consistency(a, b, c, y1):
     g = bg.TimeGrid(1.0, 1000)
-    rhs = lambda t, y: a * math.sin(b * t) * y + c
-    back = bg.rk4_integrate(rhs, np.asarray(y1), g, direction="backward")
-    fwd = bg.rk4_integrate(rhs, np.asarray(back.at_index(0)), g, direction="forward")
+    backward, forward = StageLattice(g, direction="backward"), StageLattice(g)
+    rhs_on = lambda lattice: lambda i, y: a * math.sin(b * lattice.times[i]) * y + c
+    back = bg.rk4_integrate(rhs_on(backward), np.asarray(y1), backward)
+    fwd = bg.rk4_integrate(rhs_on(forward), np.asarray(back.at_index(0)), forward)
     assert abs(fwd.at_index(g.steps) - y1) < 1e-8
 
 
@@ -160,27 +163,39 @@ def test_stage_lattice_matches_scalar_evaluation(direction, substeps, horizon, s
     scalar = bg.DeterministicTable("s", g, 2.0 + np.sin(1.3 * t) + 0.1 * t * t)
     matrix = bg.DeterministicTable(
         "m", g, 3.0 + np.cos(np.multiply.outer(t, np.arange(1.0, 17.0)) / 7.0).reshape(-1, 4, 4))
+    lattice = StageLattice(g, substeps, direction)
     seen = []
-    bg.rk4_integrate(lambda s, y: seen.append(s) or 0.0 * y, 0.0, g, direction=direction,
-                     substeps=substeps)
+    bg.rk4_integrate(lambda i, y: seen.append(i) or 0.0 * y, 0.0, lattice)
 
     # march order: step k, substep j, stages at offsets 0, 1, 1, 2 half-substeps
     sign = 1 if direction == "forward" else -1
     ks = range(steps) if direction == "forward" else range(steps, 0, -1)
     expected = [2 * substeps * k + sign * (2 * j + off)
                 for k in ks for j in range(substeps) for off in (0, 1, 1, 2)]
-    lattice = StageLattice(g, substeps, direction)
     assert lattice.times.shape == (2 * substeps * steps + 1,)
     assert np.all(np.diff(lattice.times) > 0.0)
-    assert [lattice.index(s) for s in seen] == expected
+    assert seen == expected
 
+    # the stage times RK4 forms from the step start: start, +h/2, +h/2, +h
+    sub = sign * g.dt / substeps
+    stage_times = [t[k] + j * sub + frac * sub
+                   for k in ks for j in range(substeps) for frac in (0.0, 0.5, 0.5, 1.0)]
     for tab in (scalar, matrix):
         on_lattice = tab(lattice.times)
-        for n, (s, i) in enumerate(zip(seen, expected)):
+        for n, (s, i) in enumerate(zip(stage_times, seen)):
             exact = np.asarray(tab(s))
             assert np.all(np.abs(on_lattice[i] - exact) <= 4.0 * np.spacing(np.abs(exact)))
             if n % 4 != 3:   # the first three stages run at the lattice time itself
                 assert s == lattice.times[i]
+
+
+def test_stage_lattice_validation():
+    g = bg.TimeGrid(1.0, 10)
+    with pytest.raises(bg.ValidationError, match="direction"):
+        StageLattice(g, direction="sideways")
+    for substeps in (0, -1, 1.5):
+        with pytest.raises(bg.ValidationError, match="substeps"):
+            StageLattice(g, substeps=substeps)
 
 
 def test_coefficient_tables_second_order_in_dt(params):

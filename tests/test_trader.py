@@ -95,8 +95,17 @@ def test_z2_linear_in_impact(params, grid1000, bundle):
     # doubling the impact doubles z2 exactly when the decay kernel is held fixed
     tr = bundle.trader
     p2 = params.replace(perm_impact=2.0 * params.perm_impact)
-    z_scaled = solve_linear_coeffs(p2, tr.g2, tr.var_nu, grid1000)
+    z_scaled, _ = solve_linear_coeffs(p2, tr.g2, tr.var_nu, grid1000)
     assert np.abs(z_scaled[1].values - 2.0 * tr.z2.values).max() < 1e-10
+
+
+def test_z2_is_impact_times_unit_response(params, grid1000, bundle):
+    # one march carries the speed response; z2 (hence f2) is its impact multiple
+    tr = bundle.trader
+    assert np.array_equal(tr.z2.values, params.perm_impact * tr.unit.values)
+    tr0 = bg.solve_trader(params.replace(perm_impact=0.0), grid1000)
+    assert np.all(tr0.unit.values[:-1] > 0.0)
+    assert np.all(tr0.z2.values == 0.0) and np.all(tr0.f2.values == 0.0)
 
 
 def test_terminal_conditions_zero(bundle, grid1000):
