@@ -94,6 +94,24 @@ def test_p_value_monotone_in_t(m1, m2):
         assert r1.p_value < r2.p_value
 
 
+def test_p_value_separates_extreme_and_tiny_statistics():
+    base = np.array([-1.0, 0.0, 1.0] * 10)
+    # float64 sf gives exactly 1.0 for both (t = -19.8 and -18.1)
+    far, near = (bg.one_sided_t_test(base + m) for m in (-3.0, -2.75))
+    assert near.t_stat > far.t_stat and 1 > far.p_value > near.p_value
+    # t**2 underflows below about 1e-154
+    zero, tiny = (bg.one_sided_t_test([-1.0, 1.0, x]) for x in (0.0, 1e-300))
+    assert zero.t_stat == 0.0 < tiny.t_stat
+    assert zero.p_value == 0.5 > tiny.p_value
+    assert float(far.p_value) == pytest.approx(1.0)
+    assert float(tiny.p_value) == pytest.approx(0.5)
+
+
+def test_t_test_non_finite_samples_rejected():
+    with pytest.raises(bg.ValidationError):
+        bg.one_sided_t_test([1.0, np.nan, 2.0])
+
+
 def test_externalisation_quotient_examples():
     assert bg.externalisation_quotient(5.0, 5.0) == 1.0
     assert bg.externalisation_quotient(0.05, 0.05) == 1.0        # both clamped
