@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import special as spc
-from scipy import stats as sps
 
 from .broker import BrokerCoefficients
 from .errors import MetricUndefinedError, ValidationError
@@ -83,11 +82,13 @@ def one_sided_t_test(samples) -> TTestResult:
     t = float(mean / (std / np.sqrt(n)))
     df = n - 1
     a = abs(t)
-    tail = Fraction(float(sps.t.sf(a, df)))
+    tail = Fraction(float(spc.stdtr(df, -a)))
     if a < 1e-8:
         # P(0 < T < a) = a f(0) (1 + O(a^2)); a^2 / (df + a^2) would lose
         # or underflow a, and the exact product stays strictly increasing.
-        core = Fraction(a) * Fraction(float(sps.t.pdf(0.0, df)))
+        # f(0) as scipy.stats.t.pdf evaluates it, without importing scipy.stats
+        density0 = np.exp(np.log(spc.poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi)))
+        core = Fraction(a) * Fraction(float(density0))
     else:
         core = Fraction(float(0.5 * spc.betainc(0.5, 0.5 * df, a * a / (df + a * a))))
     if core <= tail:
@@ -124,15 +125,12 @@ def effective_externalisation(trader: TraderCoefficients,
     the rate at which informed flow is effectively offloaded when the
     broker's estimate is good.  Both gains vanish at the horizon, so the last
     interior node is reused there."""
-    grid = trader.grid
-    num = broker.gains.values[:, 1].copy()
-    den = trader.f1.values.copy()
-    if np.any(np.abs(den[:-1]) < 1e-14):
+    den = trader.f1.values[:-1]
+    if np.any(np.abs(den) < 1e-14):
         raise MetricUndefinedError("trader signal gain ~ 0 before the horizon")
-    ratio = np.empty_like(den)
-    ratio[:-1] = num[:-1] / den[:-1]
-    ratio[-1] = ratio[-2]
-    return DeterministicTable("effective_externalisation", grid, ratio)
+    ratio = broker.gains.values[:-1, 1] / den
+    return DeterministicTable("effective_externalisation", trader.grid,
+                              np.append(ratio, ratio[-1]))
 
 
 @dataclass(frozen=True)

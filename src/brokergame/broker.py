@@ -195,14 +195,17 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
     # P2 only feeds P9; freed before the march it leaves no heap memory
     # pinned behind the build (2-3 MB of process peak when kept)
     del p2
+    # P7 P7^T stacked once; 4 (g P8)(g P8)^T formed as (g 2P8)(g 2P8)^T, exactly
+    p7p7, p8 = _outer(p7, p7), 2.0 * p8
 
     def rhs(i, g):
         gv = g @ p8[i]
         lin = g @ p9[i]
-        return -(np.outer(p7[i], p7[i]) + 4.0 * np.outer(gv, gv) + lin + lin.T + p5[i])
+        return -(p7p7[i] + gv[:, None] * gv + lin + lin.T + p5[i])
 
     try:
         g2_full = rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name="g2")
+        del p7p7   # like P2, it would otherwise stay pinned behind the build
         g2_block = solve_reduced_riccati(params, trader, var_alpha, grid)
     except IntegrationBlowupError as exc:
         raise ExistenceError(

@@ -459,8 +459,8 @@ def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int,
     ``base_seed ^ n``) and runs every job on it.  Returns one metrics dict
     per job, in job order, with the chunks concatenated in path order.
     """
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
+    if n_paths < 1 or chunk_size < 1:
+        raise ValidationError(f"n_paths ({n_paths}) and chunk_size ({chunk_size}) must be >= 1")
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
@@ -468,8 +468,7 @@ def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int,
         return [_simulate_core(tables, config, eps, q0, record=False)[0]
                 for tables, config in jobs]
 
-    size = max(1, chunk_size)
-    ranges = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    ranges = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
     if threads and threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, ranges))

@@ -3,13 +3,20 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as spc
+from scipy import stats as sps
 
 import brokergame as bg
 from brokergame import analytics, sim
@@ -105,6 +112,39 @@ def test_p_value_separates_extreme_and_tiny_statistics():
     assert zero.p_value == 0.5 > tiny.p_value
     assert float(far.p_value) == pytest.approx(1.0)
     assert float(tiny.p_value) == pytest.approx(0.5)
+
+
+def _scipy_stats_p_value(t, df):
+    """``one_sided_t_test``'s p-value written with scipy.stats' t distribution,
+    which the package itself does not import."""
+    a = abs(t)
+    tail = Fraction(float(sps.t.sf(a, df)))
+    if a < 1e-8:
+        core = Fraction(a) * Fraction(float(sps.t.pdf(0.0, df)))
+    else:
+        core = Fraction(float(0.5 * spc.betainc(0.5, 0.5 * df, a * a / (df + a * a))))
+    if core <= tail:
+        return Fraction(1, 2) - core if t >= 0.0 else Fraction(1, 2) + core
+    return tail if t >= 0.0 else 1 - tail
+
+
+def test_t_test_p_value_matches_scipy_stats():
+    targets = (0.0, 1e-300, -1e-300, 1e-12, -5e-9, 2e-8, -0.3, 1.0, -2.5, 6.0,
+               -18.1, 19.8, 40.0, -1e3, 1e5, -1e8, 1e11)
+    samples = [np.array([-1.0, 0.0, 1.0] * 10) + m for m in (-3.0, -2.75)]  # t = -19.8, -18.1
+    samples.append(np.array([-1.0, 1.0, 1e-300]))
+    for df in (*range(1, 201), 999, 4999, 9999):
+        base = np.zeros(df + 1)
+        base[:2] = (-1.0, 1.0)
+        scale = base.std(ddof=1) / np.sqrt(df + 1)
+        samples += [base + t * scale for t in targets]
+    results = [bg.one_sided_t_test(x) for x in samples]
+    for res in results:
+        assert not res.flagged
+        assert res.p_value == _scipy_stats_p_value(res.t_stat, res.n - 1), (res.n, res.t_stat)
+    assert [round(res.t_stat, 1) for res in results[:2]] == [-19.8, -18.1]
+    stats = [abs(res.t_stat) for res in results]
+    assert 0.0 in stats and 0.0 < min(t for t in stats if t) < 1e-290 and max(stats) > 1e10
 
 
 def test_t_test_non_finite_samples_rejected():
@@ -271,6 +311,17 @@ def test_stress_runner_shares_noise_and_true_trader(params, monkeypatch):
     assert len(seen["noise"]) == 3
     assert seen["trader"].count(params) == 1 and len(seen["trader"]) == 1 + 8
     assert seen["arms"] == 3 * (list(BROKER_MODES) + ["optimal"] * 8)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would more than double the import time; the package needs scipy.special
+    code = ("import sys, brokergame; before = 'scipy.stats' in sys.modules; "
+            "import brokergame.cli; print(before, 'scipy.stats' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(bg.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_public_names_match_module_all():

@@ -160,6 +160,14 @@ def test_stress_smoke(tmp_path):
     assert len(lines) == 1 + 3 * 9
 
 
+@pytest.mark.parametrize("command", ["experiment", "stress"])
+def test_zero_chunk_rejected(tmp_path, capsys, command):
+    ini = _write(tmp_path / "chunk.ini",
+                 "[grid]\nsteps = 50\n\n[experiment]\npaths = 3\nchunk = 0\n")
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), command]) == 2
+    assert "chunk_size (0)" in capsys.readouterr().err
+
+
 def test_flag_overrides(tmp_path, small_ini):
     out = tmp_path / "out"
     assert main(["--config", small_ini, "--out-dir", str(out), "--paths", "7",

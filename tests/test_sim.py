@@ -255,6 +255,15 @@ def test_run_experiment_outputs(params, grid200, bundle200):
         assert stats.n_effective <= 40
 
 
+@pytest.mark.parametrize("n_paths, chunk_size", [(0, 16), (3, 0), (3, -2)])
+def test_run_experiment_rejects_empty_runs_and_chunks(params, grid200, bundle200,
+                                                      n_paths, chunk_size):
+    # a chunk size below 1 is an error, not a run of one-path chunks
+    with pytest.raises(bg.ValidationError, match=">= 1"):
+        bg.run_experiment(params, grid200, bg.StrategyConfig(), n_paths, base_seed=5,
+                          bundle=bundle200, chunk_size=chunk_size)
+
+
 def test_run_experiment_threads_match_serial(params, grid200, bundle200):
     r1, p1 = bg.run_experiment(params, grid200, bg.StrategyConfig(), 30,
                                base_seed=3, bundle=bundle200, chunk_size=7, threads=1)
