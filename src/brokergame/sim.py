@@ -52,6 +52,11 @@ RECORD_SERIES = (
     "q_broker", "q_trader", "q_trader_belief", "cash_broker", "cash_trader",
     "nu_hat", "alpha_hat_price", "alpha_hat_flow", "alpha_hat_naive",
 )
+# the series a path can start from (``simulate_path``'s ``init``)
+INIT_STATES = (
+    "price", "signal", "flow", "q_broker", "q_trader", "q_trader_belief",
+    "cash_broker", "cash_trader", "nu_hat", "alpha_hat_price", "alpha_hat_flow",
+)
 
 
 @dataclass(frozen=True)
@@ -209,16 +214,18 @@ def _draw_noise(base_seed: int, path_indices, steps: int):
     """Per-path streams: one initial-inventory draw then the step increments.
 
     Path n uses ``default_rng(base_seed ^ n)``; the draw order is fixed so
-    every strategy arm sees bit-identical noise for a given path index.
+    every strategy arm sees bit-identical noise for a given path index.  The
+    increments are ``(steps, paths, 3)``, a view of a time-major buffer in
+    which each normal component of a step is contiguous over paths.
     """
     m = len(path_indices)
-    eps = np.empty((steps, m, 3))
+    noise = np.empty((steps, 3, m))
     q0 = np.empty(m)
     for j, n in enumerate(path_indices):
         rng = np.random.default_rng(base_seed ^ int(n))
         q0[j] = rng.standard_normal()
-        eps[:, j, :] = rng.standard_normal((steps, 3))
-    return q0, eps
+        noise[:, :, j] = rng.standard_normal((steps, 3))
+    return q0, noise.transpose(0, 2, 1)
 
 
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
@@ -234,11 +241,14 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     grid = tables.grid
     n_steps = grid.steps
     dt = grid.dt
-    sqdt = math.sqrt(dt)
     m = eps.shape[1]
     has_flow = tables.inv_scale is not None
     if config.signal_source == "flow" and not has_flow:
         raise ValidationError("signal_source='flow' requires flow-filter coefficients")
+    init = init or {}
+    unknown = sorted(set(init) - set(INIT_STATES))
+    if unknown:
+        raise ValidationError(f"init names no state: {unknown}; states are {INIT_STATES}")
     rule = _broker_rule(tables, config).T
     # the rate sums only the state columns the rule ever reads; the broker's
     # filters and their diagnostics run when the rule reads the signal
@@ -247,15 +257,24 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     observe = record or 1 in active
     source = SIGNAL_SOURCES.index(config.signal_source)
 
-    rho = p.rho
-    rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
+    # constants folded once per call: noise loadings sigma*sqrt(dt) (the
+    # signal's two carry rho and rho_c), decays 1 - kappa*dt, impact per step
+    sqdt = math.sqrt(dt)
+    rho_c = math.sqrt(max(0.0, 1.0 - p.rho * p.rho))
+    load_price = p.sigma_price * sqdt
+    load_sig0 = p.sigma_signal * p.rho * sqdt
+    load_sig1 = p.sigma_signal * rho_c * sqdt
+    load_flow = p.sigma_flow * sqdt
+    decay_sig = 1.0 - p.kappa_signal * dt
+    decay_flow = 1.0 - p.kappa_flow * dt
+    impact_dt = p.perm_impact * dt
     f1, f2, f3 = tables.f1, tables.f2, tables.f3
     f3b = tables.f3_belief
-    # the belief loadings vanish at the horizon: readouts reuse the last interior node
+    # the belief loadings vanish at the horizon: readouts reuse the last
+    # interior node, and multiply by its reciprocal
     last = np.minimum(np.arange(n_steps + 1), n_steps - 1)
-    f1b_c, f3b_c = tables.f1_belief[last], f3b[last]
+    f3b_c, inv_f1b_c = f3b[last], 1.0 / tables.f1_belief[last]
 
-    init = init or {}
     full = lambda key, default: np.full(m, float(init.get(key, default)))
     price = full("price", p.price_init)
     signal = full("signal", p.signal_init)
@@ -263,8 +282,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     q_b = full("q_broker", 0.0)
     q_i = full("q_trader", 0.0)
     if config.mispecify_qi:
-        q_i = q_i + q0_draw
-    q_i0 = q_i.copy()
+        q_i += q0_draw
     q_ib = full("q_trader_belief", 0.0)
     x_b = full("cash_broker", 0.0)
     x_i = full("cash_trader", 0.0)
@@ -272,13 +290,15 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     a_price = full("alpha_hat_price", 0.0)
     a_flow = full("alpha_hat_flow", 0.0)
 
-    int_nu = np.zeros(m)
-    int_xi = np.zeros(m)
-    int_cost_nu = np.zeros(m)
-    int_cost_xi = np.zeros(m)
-    notional = np.zeros(m)
+    # what q_b + q_i and x_b + x_i must equal: the starting books plus the
+    # integrals of nu - xi and of cost_xi - cost_nu
+    book_q = q_b + q_i
+    book_x = x_b + x_i
+    notional = np.zeros(m)             # sum of traded value, trapezoid weights
     inv_gap = np.zeros(m)
     cash_gap = np.zeros(m)
+    gap = np.empty(m)
+    probe = np.empty(m)
     mse_price = np.zeros(m)
     mse_flow = np.zeros(m)
     maxdiff = np.zeros(m)
@@ -296,16 +316,16 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     gamma = eta - f3b[0] * q_ib
     ztil = gamma * tables.inv_scale[0] if has_flow else None
     a_naive = None
-    f_prev = None
+    noise = eps.transpose(0, 2, 1)     # (steps, 3, paths)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             if observe:
-                a_naive = gamma / f1b_c[k]
+                a_naive = gamma * inv_f1b_c[k]
             y = (q_b, (a_price, a_flow, a_naive)[source], flow, q_ib, eta)
             nu = rule[active[0], k] * y[active[0]]
             for j in active[1:]:
-                nu = nu + rule[j, k] * y[j]
+                nu += rule[j, k] * y[j]
 
             if record:
                 now = dict(price=price, signal=signal, flow=flow, rate_broker=nu,
@@ -318,10 +338,14 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 for j in range(4):
                     rec["components"][k, j] = rule[j, k] * y[j]
 
-            f_now = price * (np.abs(nu) + np.abs(eta) + np.abs(flow))
-            if f_prev is not None:
-                notional += 0.5 * (f_prev + f_now) * dt
-            f_prev = f_now
+            traded = np.abs(nu)
+            traded += np.abs(eta)
+            traded += np.abs(flow)
+            traded *= price
+            if 0 < k < n_steps:
+                notional += traded
+            else:
+                notional += 0.5 * traded
 
             if observe:
                 mse_price += (a_price - signal) ** 2
@@ -330,9 +354,9 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 # fed the TRUE inventory (clean reference; under a mispecified
                 # belief both belief-based estimates track the same
                 # contaminated flow and their gap would hide the blow-up)
-                diff = np.abs(a_flow - (eta - f3b_c[k] * q_i) / f1b_c[k])
+                diff = np.abs(a_flow - (eta - f3b_c[k] * q_i) * inv_f1b_c[k])
                 if k <= n_steps - 10:
-                    maxdiff = np.fmax(maxdiff, diff)
+                    np.fmax(maxdiff, diff, out=maxdiff)
                 for ci, ck in enumerate(check_idx):
                     if k == ck:
                         checkpoints[ci] = diff
@@ -340,32 +364,49 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             if k == n_steps:
                 break
 
-            dws = sqdt * eps[k, :, 0]
-            dwa = rho * dws + rho_c * sqdt * eps[k, :, 1]
-            dwu = sqdt * eps[k, :, 2]
+            e_price, e_sig, e_flow = noise[k]
+            nu_dt = nu * dt
+            eta_dt = eta * dt
+            flow_dt = flow * dt
+            signal_dt = signal * dt
 
-            price_new = price + (p.perm_impact * nu + signal) * dt + p.sigma_price * dws
-            signal_new = signal - p.kappa_signal * signal * dt + p.sigma_signal * dwa
-            flow_new = flow - p.kappa_flow * flow * dt + p.sigma_flow * dwu
+            # cash flows of the interval, each cost already times dt
+            cost_nu = p.temp_impact * nu
+            cost_nu += price
+            cost_nu *= nu_dt
+            cost_eta = p.fee_informed * eta
+            cost_eta += price
+            cost_eta *= eta_dt
+            cost_xi = p.fee_uninformed * flow
+            cost_xi += price
+            cost_xi *= flow_dt
+            x_b += cost_eta
+            x_b -= cost_nu
+            x_b += cost_xi
+            x_i -= cost_eta
+            book_x -= cost_nu
+            book_x += cost_xi
+            q_b += nu_dt
+            q_b -= eta_dt
+            q_b -= flow_dt
+            q_i += eta_dt
+            q_ib += eta_dt
+            book_q += nu_dt
+            book_q -= flow_dt
 
-            cost_nu = nu * (price + p.temp_impact * nu)
-            cost_eta = eta * (price + p.fee_informed * eta)
-            cost_xi = flow * (price + p.fee_uninformed * flow)
-            int_nu += nu * dt
-            int_xi += flow * dt
-            int_cost_nu += cost_nu * dt
-            int_cost_xi += cost_xi * dt
-            x_b += (cost_eta - cost_nu + cost_xi) * dt
-            x_i -= cost_eta * dt
-            q_b += (nu - eta - flow) * dt
-            q_i += eta * dt
-            q_ib += eta * dt
-
+            price_new = price + impact_dt * nu
+            price_new += signal_dt
+            price_new += load_price * e_price
             dprice = price_new - price
-            dy = dprice - signal * dt
+            dy = dprice - signal_dt
             nu_hat = (nu_hat - tables.theta_trader * nu_hat * dt
                       + tables.gain_nu[k] * (dy - p.perm_impact * nu_hat * dt))
-            price, signal, flow = price_new, signal_new, flow_new
+            price = price_new
+            signal *= decay_sig
+            signal += load_sig0 * e_price
+            signal += load_sig1 * e_sig
+            flow *= decay_flow
+            flow += load_flow * e_flow
 
             eta_next = f1[k + 1] * signal + f2[k + 1] * nu_hat + f3[k + 1] * q_i
             gamma_next = eta_next - f3b[k + 1] * q_ib
@@ -383,15 +424,28 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                     ztil = ztil_next
             eta, gamma = eta_next, gamma_next
 
-            inv_gap = np.fmax(inv_gap, np.abs(q_b - int_nu + (q_i - q_i0) + int_xi))
-            cash_gap = np.fmax(cash_gap, np.abs(x_b + x_i + int_cost_nu - int_cost_xi))
+            np.add(q_b, q_i, out=gap)
+            gap -= book_q
+            np.abs(gap, out=gap)
+            np.fmax(inv_gap, gap, out=inv_gap)
+            np.add(x_b, x_i, out=probe)
+            np.subtract(probe, book_x, out=gap)
+            np.abs(gap, out=gap)
+            np.fmax(cash_gap, gap, out=cash_gap)
 
-            probe = price + q_b + x_b + x_i + nu_hat + a_price + a_flow
-            if not np.isfinite(probe).all():
+            # a non-finite probe makes the sum non-finite, so a finite sum
+            # clears every path at once
+            probe += price
+            probe += q_b
+            probe += nu_hat
+            probe += a_price
+            probe += a_flow
+            if not math.isfinite(probe.sum()):
                 fresh = ~np.isfinite(probe) & ~blown
                 blow_step[fresh] = k + 1
                 blown |= fresh
 
+    notional *= dt
     with np.errstate(over="ignore", invalid="ignore"):
         wealth_b = x_b + q_b * price
         wealth_i = x_i + q_i * price

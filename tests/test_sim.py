@@ -65,11 +65,73 @@ def test_estimators_follow_their_filter_recursions(params, grid200, bundle200):
         close(r.alpha_hat_naive, gamma / tb.f1_belief[last])
 
 
+def test_dynamics_follow_the_model_equations(params, grid200):
+    # price, signal, noise flow, both inventories, the belief inventory, both
+    # cash accounts and the client's rate on a recorded path, rebuilt node by
+    # node from the model's Euler-Maruyama equations, the recorded controls
+    # and the path's own increments; every state starts away from 0, and the
+    # signal loads on both price and signal noise
+    p, n, dt = params.replace(rho=0.4), grid200.steps, grid200.dt
+    b = bg.build_coefficients(p, grid200)
+    tr, br, fl = b.trader, b.broker, b.flow
+    sq = np.sqrt(dt)
+    init = {"price": 101.0, "signal": 0.3, "flow": -2.0, "q_broker": 1.5,
+            "q_trader": -0.5, "q_trader_belief": 0.7, "cash_broker": 4.0,
+            "cash_trader": -3.0}
+    q0, eps = _draw_noise(73, [0], n)
+    e_s, e_a, e_u = eps[:, 0, 0], eps[:, 0, 1], eps[:, 0, 2]
+
+    def close(name, got, ref):
+        scale = np.abs(got).max()
+        assert np.abs(got - ref).max() <= 1e-12 * scale, name
+
+    for mode in BROKER_MODES:
+        cfg = bg.StrategyConfig(broker_mode=mode, signal_source="flow", mispecify_qi=True)
+        r = bg.simulate_path(p, tr, br, fl, cfg, seed=73, init=init)
+        for name, value in init.items():
+            if name != "q_trader":
+                assert getattr(r, name)[0] == value, (mode, name)
+        assert r.q_trader[0] == init["q_trader"] + q0[0]
+
+        s, nu, eta, xi = r.price[:-1], r.rate_broker[:-1], r.rate_trader[:-1], r.flow[:-1]
+        a = r.signal[:-1]
+        close("price", r.price[1:], s + (p.perm_impact * nu + a) * dt + p.sigma_price * sq * e_s)
+        close("signal", r.signal[1:], a - p.kappa_signal * a * dt + p.sigma_signal * sq
+              * (p.rho * e_s + np.sqrt(1.0 - p.rho ** 2) * e_a))
+        close("flow", r.flow[1:], xi - p.kappa_flow * xi * dt + p.sigma_flow * sq * e_u)
+        close("q_broker", r.q_broker[1:], r.q_broker[:-1] + (nu - eta - xi) * dt)
+        close("q_trader", r.q_trader[1:], r.q_trader[:-1] + eta * dt)
+        close("q_trader_belief", r.q_trader_belief[1:], r.q_trader_belief[:-1] + eta * dt)
+        pay_trader = eta * (s + p.fee_informed * eta)
+        close("cash_broker", r.cash_broker[1:], r.cash_broker[:-1] + (
+            pay_trader - nu * (s + p.temp_impact * nu) + xi * (s + p.fee_uninformed * xi)) * dt)
+        close("cash_trader", r.cash_trader[1:], r.cash_trader[:-1] - pay_trader * dt)
+        close("rate_trader", r.rate_trader, tr.f1.values * r.signal
+              + tr.f2.values * r.nu_hat + tr.f3.values * r.q_trader)
+
+
+def test_unknown_init_names_are_rejected(params, bundle200):
+    # names that are no state, rates and the naive readout included, raise
+    # instead of running from the defaults
+    for init, bad in (({"q_brokr": 1.0}, "q_brokr"), ({"rate_broker": 2.0}, "rate_broker"),
+                      ({"price": 100.0, "alpha_hat_naive": 0.1}, "alpha_hat_naive")):
+        with pytest.raises(bg.ValidationError, match=bad):
+            bg.simulate_path(params, bundle200.trader, bundle200.broker, bundle200.flow,
+                             bg.StrategyConfig(), seed=1, init=init)
+
+
 def test_inventory_and_cash_identities(bundle, params):
     res = bg.simulate_path(params, bundle.trader, bundle.broker, bundle.flow,
                            bg.StrategyConfig(), seed=77)
     assert res.max_inventory_gap < 1e-10
     assert res.max_cash_gap < 1e-8
+    # a book that starts away from 0 is not a conservation gap
+    init = {"q_broker": 5.0, "q_trader": -2.0, "cash_broker": 3.0, "cash_trader": -1.0}
+    for mode in BROKER_MODES:
+        res = bg.simulate_path(params, bundle.trader, bundle.broker, bundle.flow,
+                               bg.StrategyConfig(broker_mode=mode), seed=77, init=init)
+        assert res.max_inventory_gap < 1e-10, mode
+        assert res.max_cash_gap < 1e-8, mode
 
 
 def test_broker_rule_rows(params, grid200, bundle200):
