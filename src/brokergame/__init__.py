@@ -21,8 +21,8 @@ from .errors import (AdmissibilityError, BrokerGameError, ExistenceError,
                      SimulationBlowupError, ValidationError)
 from .filters import (FlowFilterCoefficients, flow_filter_coefficients, price_filter_gain,
                       trader_filter_gain)
-from .odes import (DeterministicTable, StageLattice, TimeGrid, riccati_constant_solution,
-                   rk4_integrate, solve_scalar_riccati)
+from .odes import (DeterministicTable, StageLattice, TimeGrid, rk4_integrate,
+                   solve_scalar_riccati)
 from .params import DEFAULT_PARAMS, ModelParams
 from .sim import (CoefficientBundle, PathResult, StrategyConfig,
                   build_coefficients, export_filter_csv, export_path_csv,

@@ -12,9 +12,11 @@ The simulator runs three path-coupled estimators inside its step loop:
 This module holds what those updates need that does not depend on the path:
 the innovation gains of the two price-driven filters and the flow filter's
 drift, noise and variance tables, precomputed once per parameter set.  The
-flow tables are formed from the trader's solved tables, including his speed
-response per unit of impact (``TraderCoefficients.unit``); the only ODE
-solved here is the flow filter's variance.
+flow tables are formed from the trader's signal and speed loadings ``f1``,
+``f2``, his speed-estimate variance ``var_nu`` and his speed response per
+unit of impact (``TraderCoefficients.unit``); they never read his inventory
+loading ``f3``, whose contribution to the observation's drift cancels.  The
+only ODE solved here is the flow filter's variance.
 """
 
 from __future__ import annotations
@@ -59,22 +61,23 @@ class FlowFilterCoefficients:
     reads them.
 
     The observed client rate, net of its inventory loading, is
-    ``f1*alpha + f2*nu_hat``; dividing by its composite diffusion
+    ``gamma = f1*alpha + f2*nu_hat``; dividing by its composite diffusion
     ``scale = sqrt(g3^2 + g4^2 + 2 rho g3 g4)`` (signal loading
     ``g3 = sigma_signal f1``, price loading ``g4 = (perm_impact/sigma_price)
-    var_nu f2``) turns it into a unit-noise observation of the signal.  All
-    tables live on the shared grid.  ``scale`` vanishes at the horizon, so the
-    two drift ratios that blow up there (``drift_scale``, ``drift_flow``) and
-    ``inv_scale`` reuse the last interior value, while the ratios with finite
-    limits carry their limit value at the final node.
+    var_nu f2``) turns it into a unit-noise observation ``ztil = gamma/scale``
+    of the signal, with drift ``drift_obs*ztil + drift_signal*alpha +
+    drift_rate*nu``.  All tables live on the shared grid and are formed from
+    the trader's ``f1``, ``f2``, ``var_nu`` and ``unit``.  ``scale`` vanishes
+    at the horizon, so ``drift_obs`` and ``inv_scale``, which blow up there,
+    reuse the last interior value, while the ratios with finite limits carry
+    their limit value at the final node.
     """
 
     grid: TimeGrid
     inv_scale: DeterministicTable        # 1 / scale
-    drift_scale: DeterministicTable      # -scale'/scale
+    drift_obs: DeterministicTable        # drift of the observation per unit of itself
     drift_signal: DeterministicTable     # signal drift of the unit-noise observation
-    drift_flow: DeterministicTable
-    drift_rate: DeterministicTable
+    drift_rate: DeterministicTable       # drift per unit of the broker's rate
     noise_mix: DeterministicTable        # correlation loading of the composite noise
     var_alt: DeterministicTable          # conditional variance of the flow filter
 
@@ -95,7 +98,6 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
 
     f1 = trader.f1.values
     f2 = trader.f2.values
-    f3 = trader.f3.values
     vv = trader.var_nu.values
     n = grid.steps
 
@@ -116,30 +118,30 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
             "composite diffusion of the adjusted flow vanishes before the horizon"
         )
 
+    interior = slice(0, n)        # 1/unit and 1/scale diverge at the horizon
     g1 = p * p * vv * f2 / ss ** 2
-    inv_u = np.empty(n + 1)
-    inv_u[:n] = 1.0 / uv[:n]
-    inv_u[n] = inv_u[n - 1]   # true value diverges; only stand-in consumers see it
-    g0 = -p * p * vv / ss ** 2 - inv_u - 0.5 * f3
-    galpha = -1.0 / (2.0 * b) + f1 * p * p * vv / ss ** 2 + f1 * inv_u
+    inv_u = 1.0 / uv[interior]
+    galpha = -1.0 / (2.0 * b) + f1[interior] * p * p * vv[interior] / ss ** 2 \
+        + f1[interior] * inv_u
 
-    # closed-form time derivatives of the diffusion loadings (no finite differences)
-    g3p = sa * (-1.0 / (2.0 * b) + ka * f1 - 0.5 * f3 * f1)
-    g4p = (p / ss) * (vv * (-p / (2.0 * b) + th * f2 - 0.5 * f3 * f2)
-                      + f2 * (sb ** 2 - 2.0 * th * vv - p ** 2 * vv ** 2 / ss ** 2))
+    # closed-form time derivatives of the diffusion loadings (no finite
+    # differences), without the trader's inventory term: that term moves f1,
+    # f2 and so scale at one common rate, which dividing by scale removes, so
+    # the observation's drift carries no f3
+    h3 = sa * (-1.0 / (2.0 * b) + ka * f1)
+    h4 = (p / ss) * (vv * (-p / (2.0 * b) + th * f2)
+                     + f2 * (sb ** 2 - 2.0 * th * vv - p ** 2 * vv ** 2 / ss ** 2))
 
     g6 = np.empty(n + 1)
     g7 = np.empty(n + 1)
-    g8 = np.empty(n + 1)
     g9 = np.empty(n + 1)
     kmix = np.empty(n + 1)
     mix_gap = np.empty(n + 1)     # 1 - kmix^2 without subtracting from 1
     inv_g5 = np.empty(n + 1)
-    interior = slice(0, n)
-    g6[interior] = -(g3p[interior] * (g3[interior] + rho * g4[interior])
-                     + g4p[interior] * (rho * g3[interior] + g4[interior])) / g5[interior] ** 2
-    g7[interior] = galpha[interior] / g5[interior]
-    g8[interior] = g0[interior] / g5[interior]
+    g6[interior] = (-(h3[interior] * (g3[interior] + rho * g4[interior])
+                      + h4[interior] * (rho * g3[interior] + g4[interior])) / g5[interior] ** 2
+                    - p * p * vv[interior] / ss ** 2 - inv_u)
+    g7[interior] = galpha / g5[interior]
     g9[interior] = g1[interior] / g5[interior]
     kmix[interior] = (g3[interior] + rho * g4[interior]) / g5[interior]
     mix_gap[interior] = (1.0 - rho * rho) * g4[interior] ** 2 / g5[interior] ** 2
@@ -158,7 +160,6 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     kmix[n] = (a3 + rho * a4) / denom
     mix_gap[n] = (1.0 - rho * rho) * a4 * a4 / (denom * denom)
     g6[n] = g6[n - 1]
-    g8[n] = g8[n - 1]
     inv_g5[n] = inv_g5[n - 1]
 
     tbl = lambda name, arr: DeterministicTable(name, grid, arr)
@@ -182,9 +183,8 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     return FlowFilterCoefficients(
         grid=grid,
         inv_scale=tbl("inv_scale", inv_g5),
-        drift_scale=tbl("drift_scale", g6),
+        drift_obs=tbl("drift_obs", g6),
         drift_signal=drift_signal,
-        drift_flow=tbl("drift_flow", g8),
         drift_rate=tbl("drift_rate", g9),
         noise_mix=noise_mix,
         var_alt=var_alt,

@@ -27,7 +27,6 @@ __all__ = [
     "StageLattice",
     "rk4_integrate",
     "solve_scalar_riccati",
-    "riccati_constant_solution",
     "write_columns_csv",
 ]
 
@@ -230,29 +229,3 @@ def solve_scalar_riccati(quad, lin, const, boundary: float, lattice: StageLattic
         return c[i] + l[i] * y + q[i] * y * y
 
     return rk4_integrate(rhs, float(boundary), lattice, name=name)
-
-
-def riccati_constant_solution(quad: float, lin: float, const: float, y0: float, t):
-    """Closed-form solution of y' = const + lin y + quad y^2 with constant
-    coefficients and two distinct real roots.  Used as an oracle in tests and
-    steady-state checks.
-    """
-    t = np.asarray(t, dtype=float)
-    if quad == 0.0:
-        if lin == 0.0:
-            return y0 + const * t
-        yinf = -const / lin
-        return yinf + (y0 - yinf) * np.exp(lin * t)
-    disc = lin * lin - 4.0 * quad * const
-    if disc <= 0.0:
-        raise ValidationError("constant-coefficient oracle requires distinct real roots")
-    r = np.sqrt(disc)
-    y_plus = (-lin + r) / (2.0 * quad)
-    y_minus = (-lin - r) / (2.0 * quad)
-    if y0 == y_plus:
-        return np.full_like(t, y_plus, dtype=float)
-    if y0 == y_minus:
-        return np.full_like(t, y_minus, dtype=float)
-    ratio = (y0 - y_plus) / (y0 - y_minus)
-    e = ratio * np.exp(r * t)
-    return (y_plus - y_minus * e) / (1.0 - e)

@@ -165,9 +165,8 @@ class _Tables:
         self.kappa_model = params_model.kappa_signal
         if fl is not None:
             self.inv_scale = fl.inv_scale.values
-            self.g6 = fl.drift_scale.values
+            self.g6 = fl.drift_obs.values
             self.g7 = fl.drift_signal.values
-            self.g8 = fl.drift_flow.values
             self.g9 = fl.drift_rate.values
             self.gain_flow = (fl.drift_signal.values * fl.var_alt.values
                               + params_model.sigma_signal * fl.noise_mix.values)
@@ -275,7 +274,13 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     last = np.minimum(np.arange(n_steps + 1), n_steps - 1)
     f3b_c, inv_f1b_c = f3b[last], 1.0 / tables.f1_belief[last]
 
-    full = lambda key, default: np.full(m, float(init.get(key, default)))
+    def full(key, default):
+        value = init.get(key, default)
+        try:
+            return np.full(m, float(value))
+        except (TypeError, ValueError):
+            raise ValidationError(f"init[{key!r}] must be a number, got {value!r}") from None
+
     price = full("price", p.price_init)
     signal = full("signal", p.signal_init)
     flow = full("flow", 0.0)
@@ -416,8 +421,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                            + tables.gain_price[k] * (dz - a_price * dt))
                 if has_flow:
                     ztil_next = gamma_next * tables.inv_scale[k + 1]
-                    dzf = (ztil_next - ztil) - (tables.g6[k] * ztil + tables.g8[k] * gamma
-                                                + tables.g9[k] * nu) * dt
+                    dzf = (ztil_next - ztil) - (tables.g6[k] * ztil + tables.g9[k] * nu) * dt
                     innov = dzf - tables.g7[k] * a_flow * dt
                     a_flow = (a_flow - tables.kappa_model * a_flow * dt
                               + tables.gain_flow[k] * innov)

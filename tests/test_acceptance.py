@@ -14,8 +14,10 @@ from scipy import stats as sps
 import brokergame as bg
 from brokergame.broker import _p_matrices
 from brokergame.cli import main as cli_main
-from brokergame.odes import StageLattice, riccati_constant_solution, rk4_integrate
+from brokergame.odes import StageLattice, rk4_integrate
 from brokergame.sim import CoefficientBundle, _Tables, _draw_noise, _simulate_core
+
+from oracles import riccati_constant_solution
 
 pytestmark = pytest.mark.acceptance
 

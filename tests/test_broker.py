@@ -7,7 +7,9 @@ import pytest
 import brokergame as bg
 from brokergame.broker import (_p9, _p_matrices, _reduced_uvb, export_broker_csv,
                                solve_price_filter_variance)
-from brokergame.odes import StageLattice, riccati_constant_solution, rk4_integrate
+from brokergame.odes import StageLattice, rk4_integrate
+
+from oracles import riccati_constant_solution
 
 
 def test_price_variance_steady_state(params, grid1000, bundle):

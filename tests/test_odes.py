@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import brokergame as bg
 from brokergame.errors import IntegrationBlowupError, TableRangeError
-from brokergame.odes import StageLattice, riccati_constant_solution, write_columns_csv
+from brokergame.odes import StageLattice, write_columns_csv
+
+from oracles import riccati_constant_solution
 
 
 def test_grid_nodes_exact():

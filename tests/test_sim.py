@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,8 +58,7 @@ def test_estimators_follow_their_filter_recursions(params, grid200, bundle200):
         gamma = r.rate_trader - tb.f3_belief * r.q_trader_belief
         ztil = gamma * tb.inv_scale
         a = r.alpha_hat_flow[:-1]
-        dzf = np.diff(ztil) - (tb.g6[:-1] * ztil[:-1] + tb.g8[:-1] * gamma[:-1]
-                               + tb.g9[:-1] * nu) * dt
+        dzf = np.diff(ztil) - (tb.g6[:-1] * ztil[:-1] + tb.g9[:-1] * nu) * dt
         close(r.alpha_hat_flow[1:], a - tb.kappa_model * a * dt
               + tb.gain_flow[:-1] * (dzf - tb.g7[:-1] * a * dt))
 
@@ -118,6 +119,16 @@ def test_unknown_init_names_are_rejected(params, bundle200):
         with pytest.raises(bg.ValidationError, match=bad):
             bg.simulate_path(params, bundle200.trader, bundle200.broker, bundle200.flow,
                              bg.StrategyConfig(), seed=1, init=init)
+
+
+def test_non_numeric_init_values_are_rejected(params, bundle200):
+    # a value that is no number raises ValidationError naming key and value,
+    # not the bare ValueError/TypeError of float()
+    for value in ("abc", [1.0, 2.0]):
+        message = f"init['price'] must be a number, got {value!r}"
+        with pytest.raises(bg.ValidationError, match=re.escape(message)):
+            bg.simulate_path(params, bundle200.trader, bundle200.broker, bundle200.flow,
+                             bg.StrategyConfig(), seed=1, init={"price": value})
 
 
 def test_inventory_and_cash_identities(bundle, params):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import brokergame as bg
-from brokergame.odes import riccati_constant_solution
 from brokergame.trader import (export_trader_csv, solve_inventory_coeff,
                                solve_linear_coeffs, solve_speed_filter_variance)
+
+from oracles import riccati_constant_solution
 
 
 def test_speed_variance_steady_state(params, grid1000, bundle):
