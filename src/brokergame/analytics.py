@@ -149,14 +149,13 @@ def _beta_inc(p: float, q: float, log_x: float, log_y: float) -> Fraction:
     return Fraction(math.exp(log_front - e * _LN2) * frac / p) * Fraction(2) ** e
 
 
-def outperformance(path_opt, path_bench, scale: float = 1e6) -> float:
+def outperformance(wealth_opt, wealth_bench, notional_bench, scale: float = 1e6):
     """Wealth gap of the optimal arm over a benchmark arm (coupled noise),
-    per ``scale`` dollars of the benchmark path's traded notional."""
-    denom = path_bench.notional
-    if denom == 0.0:
+    per ``scale`` dollars of the benchmark path's traded notional, for one
+    path (floats) or many (arrays)."""
+    if np.any(np.asarray(notional_bench) == 0.0):
         raise MetricUndefinedError("traded notional is zero; outperformance undefined")
-    gap = path_opt.wealth_broker - path_bench.wealth_broker
-    return gap / denom * scale
+    return (wealth_opt - wealth_bench) / notional_bench * scale
 
 
 def externalisation_quotient(nu, eta, epsilon: float = 0.1):
@@ -219,8 +218,8 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
     for i in (1, 2, 3):
         arm = per_arm[f"benchmark{i}"]
         valid = (~opt["blown"]) & (~arm["blown"]) & (arm["notional"] > 0.0)
-        out = (opt["wealth_broker"][valid] - arm["wealth_broker"][valid]) \
-            / arm["notional"][valid] * 1e6
+        out = outperformance(opt["wealth_broker"][valid], arm["wealth_broker"][valid],
+                             arm["notional"][valid])
         tt = one_sided_t_test(out)
         benchmarks[i] = BenchmarkStats(
             mean=tt.mean, std=tt.std, t_stat=tt.t_stat, p_value=float(tt.p_value),

@@ -2,13 +2,18 @@
 
 The broker's value function is quadratic in the state
 ``y = (q_broker, alpha_hat, flow, q_trader)``.  Its 4x4 coefficient matrix
-solves a backward matrix Riccati equation built from the trader's feedback
-loadings.  Because the quadratic term only couples the (q_broker, q_trader)
-corner, that 2x2 block also satisfies a closed reduced Riccati equation; the
-reduced solve is authoritative for the control and the full solve must agree
-with it, which doubles as an integration cross-check.  An eigenvalue
-diagnostic certifies that the reduced system stays in the region where a
-global solution exists.
+``G`` solves a backward matrix Riccati equation built from the trader's
+feedback loadings,
+
+    G' = -(S + (G W)(G W)^T + G P9 + P9^T G),   S = P7 P7^T + P5,  W = 2 P8.
+
+``W`` lives on (q_broker, q_trader) and ``P9`` maps nothing from
+(alpha_hat, flow) into that pair, so the same equation restricted to the
+pair is a closed 2x2 Riccati.  One right-hand side serves both marches: the
+restricted block is authoritative for the control and the full solve must
+agree with it, which doubles as an integration cross-check.  An eigenvalue
+diagnostic, read from the same restricted terms, certifies that the block
+stays in the region where a global solution exists.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ __all__ = [
 
 # order of the broker's state vector in every matrix below
 STATE_ORDER = ("q_broker", "alpha_hat", "flow", "q_trader")
+# (q_broker, q_trader): the block of the Riccati that closes on itself
+_CORNER = (0, 3)
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,6 @@ class BrokerCoefficients:
     gains: DeterministicTable         # feedback row: rate = gains(t) . y
     eigvals: DeterministicTable       # existence diagnostic, 4 per node
     det_scaled: DeterministicTable    # det of the row-scaled diagnostic matrix
-    c_belief: float                   # params.c_belief the tables were solved with
     block_dev: float                  # max |full - reduced| on shared entries
 
 
@@ -80,28 +86,21 @@ def _outer(x, y):
     return x[..., :, None] * y[..., None, :]
 
 
-def _belief_curvature(f2, params: ModelParams):
-    """The broker's believed speed loading ``e = c_belief * f2`` of the
-    client's rate and the curvature ``d = temp_impact - fee_informed * e^2``
-    of her Hamiltonian in her own rate, which must be positive for the
-    control to exist."""
-    e = params.c_belief * f2
-    d = params.temp_impact - e * e * params.fee_informed
-    if np.any(d <= 0.0):
-        raise AdmissibilityError(
-            f"temp_impact - fee_informed * (c*f2)^2 = {np.min(d):.3e} <= 0: control undefined"
-        )
-    return e, d
-
-
 def _p_matrices(f1, f2, f3, vb, params: ModelParams):
     """State matrices (P2, P5, P7, P8) and sqrt(temp_impact - fee*(c f2)^2)
     at one instant, or stacked along the leading axis of the inputs.  The
     broker plugs her belief about how strongly her own speed feeds the
-    client's rate in for f2 everywhere."""
+    client's rate in for f2 everywhere: ``e = c_belief * f2``.  The curvature
+    ``d = temp_impact - fee_informed * e^2`` of her Hamiltonian in her own
+    rate must be positive for the control to exist."""
     b = params.fee_informed
     p = params.perm_impact
-    e, d = _belief_curvature(f2, params)
+    e = params.c_belief * f2
+    d = params.temp_impact - e * e * b
+    if np.any(d <= 0.0):
+        raise AdmissibilityError(
+            f"temp_impact - fee_informed * (c*f2)^2 = {np.min(d):.3e} <= 0: control undefined"
+        )
     sq = np.sqrt(d)
     p2 = _stacked(
         (4, 4),
@@ -126,50 +125,48 @@ def _p9(p2, p7, p8):
     return 2.0 * _outer(p8, p7) + _transpose(p2)
 
 
-def _reduced_uvb(f2, f3, vb, params: ModelParams):
-    """U, V, B of the reduced (q_broker, q_trader) Riccati block, at one
-    instant or stacked along the leading axis of the inputs."""
-    a = params.temp_impact
-    b = params.fee_informed
-    p = params.perm_impact
-    e, d = _belief_curvature(f2, params)
-    w = _stacked((2,), 1.0 - e, e)
-    dd = np.asarray(d)[..., None, None]
-    u = _outer(w, w) / dd
-    v = _stacked(
-        (2, 2),
-        p * (1.0 - e) / 2.0, -f3 * (a - e * b),
-        p * e / 2.0, a * f3,
-    ) / dd
-    run_pen = params.phi0_broker + params.phi1_broker * vb
-    bmat = _stacked(
-        (2, 2),
-        p * p / 4.0 - d * run_pen, p * e * f3 * b / 2.0,
-        p * e * f3 * b / 2.0, f3 * f3 * a * b,
-    ) / dd
-    return u, v, bmat
+def _riccati_terms(f1, f2, f3, vb, params: ModelParams, states):
+    """Source ``S = P7 P7^T + P5``, loading ``W = 2 P8`` and linear term
+    ``P9`` of the broker's Riccati, at one instant or stacked along the
+    leading axis of the inputs, restricted to the state indices ``states``."""
+    p2, p5, p7, p8, _ = _p_matrices(f1, f2, f3, vb, params)
+    # np.take keeps each instant's entries contiguous for the march
+    s, p9 = (np.take(np.take(m, states, axis=-2), states, axis=-1)
+             for m in (_outer(p7, p7) + p5, _p9(p2, p7, p8)))
+    return s, np.take(2.0 * p8, states, axis=-1), p9
 
 
 def _symmetrize(m):
     return 0.5 * (m + m.T)
 
 
-def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
-                          var_alpha: DeterministicTable, grid: TimeGrid) -> DeterministicTable:
-    """Backward solve of the closed 2x2 block of the matrix Riccati system."""
-    terminal = np.zeros((2, 2))
+def _march(params: ModelParams, trader: TraderCoefficients, var_alpha: DeterministicTable,
+           grid: TimeGrid, states, name: str) -> DeterministicTable:
+    """Backward RK4 march of ``G' = -(S + (G W)(G W)^T + G P9 + P9^T G)``
+    restricted to ``states`` (re-symmetrised each step), from the terminal
+    penalty ``-(beta0 + beta1 var_alpha(T))`` in the first entry."""
+    terminal = np.zeros((len(states), len(states)))
     terminal[0, 0] = -(params.beta0_broker
                        + params.beta1_broker * var_alpha.at_index(grid.steps))
     lattice = StageLattice(grid, substeps=2, direction="backward")
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v, bmat = _reduced_uvb(*(x(lattice.times) for x in (trader.f2, trader.f3, var_alpha)),
-                                  params)
+        s, w, p9 = _riccati_terms(
+            *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
+            params, states)
 
     def rhs(i, g):
-        lin = g @ v[i]
-        return -(g @ u[i] @ g + lin + lin.T + bmat[i])
+        gw = g @ w[i]
+        lin = g @ p9[i]
+        return -(s[i] + gw[:, None] * gw + lin + lin.T)
 
-    return rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name="g2_block")
+    return rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name=name)
+
+
+def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
+                          var_alpha: DeterministicTable, grid: TimeGrid) -> DeterministicTable:
+    """Backward solve of the broker's Riccati restricted to its closed
+    (q_broker, q_trader) block."""
+    return _march(params, trader, var_alpha, grid, _CORNER, "g2_block")
 
 
 def solve_broker(params: ModelParams, trader: TraderCoefficients,
@@ -177,35 +174,14 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
     """Solve the broker's full coefficient system.
 
     The full 4x4 matrix Riccati is integrated backward (re-symmetrised each
-    step) and cross-checked against the reduced 2x2 block, which is
-    authoritative for the corner entries that enter the control.  A blow-up
-    here means the permanent impact is outside the range where the reduced
-    system has a global solution.
+    step) and cross-checked against the same equation restricted to the
+    (q_broker, q_trader) block, which is authoritative for the corner entries
+    that enter the control.  A blow-up here means the permanent impact is
+    outside the range where the reduced system has a global solution.
     """
     var_alpha = solve_price_filter_variance(params, grid)
-
-    terminal = np.zeros((4, 4))
-    terminal[0, 0] = -(params.beta0_broker
-                       + params.beta1_broker * var_alpha.at_index(grid.steps))
-    lattice = StageLattice(grid, substeps=2, direction="backward")
-    with np.errstate(over="ignore", invalid="ignore"):
-        p2, p5, p7, p8, _ = _p_matrices(
-            *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)), params)
-        p9 = _p9(p2, p7, p8)
-    # P2 only feeds P9; freed before the march it leaves no heap memory
-    # pinned behind the build (2-3 MB of process peak when kept)
-    del p2
-    # P7 P7^T stacked once; 4 (g P8)(g P8)^T formed as (g 2P8)(g 2P8)^T, exactly
-    p7p7, p8 = _outer(p7, p7), 2.0 * p8
-
-    def rhs(i, g):
-        gv = g @ p8[i]
-        lin = g @ p9[i]
-        return -(p7p7[i] + gv[:, None] * gv + lin + lin.T + p5[i])
-
     try:
-        g2_full = rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name="g2")
-        del p7p7   # like P2, it would otherwise stay pinned behind the build
+        g2_full = _march(params, trader, var_alpha, grid, (0, 1, 2, 3), "g2")
         g2_block = solve_reduced_riccati(params, trader, var_alpha, grid)
     except IntegrationBlowupError as exc:
         raise ExistenceError(
@@ -214,18 +190,9 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
         ) from exc
 
     full = np.array(g2_full.values)
-    blk = g2_block.values
-    corner = np.stack([
-        full[:, 0, 0] - blk[:, 0, 0],
-        full[:, 0, 3] - blk[:, 0, 1],
-        full[:, 3, 3] - blk[:, 1, 1],
-    ])
-    block_dev = float(np.max(np.abs(corner)))
+    block_dev = float(np.max(np.abs(full[:, [[0], [3]], [0, 3]] - g2_block.values)))
     # reduced block is authoritative for the entries that feed the control
-    full[:, 0, 0] = blk[:, 0, 0]
-    full[:, 0, 3] = blk[:, 0, 1]
-    full[:, 3, 0] = blk[:, 0, 1]
-    full[:, 3, 3] = blk[:, 1, 1]
+    full[:, [[0], [3]], [0, 3]] = g2_block.values
     g2 = DeterministicTable("g2", grid, full)
 
     gain = price_filter_gain(var_alpha.values, params) * params.sigma_price
@@ -240,8 +207,7 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
 
     gains = _feedback_gain_table(params, trader, var_alpha, g2)
     eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid)
-    return BrokerCoefficients(grid, var_alpha, g2, g0, gains, eig, det_scaled,
-                              float(params.c_belief), block_dev)
+    return BrokerCoefficients(grid, var_alpha, g2, g0, gains, eig, det_scaled, block_dev)
 
 
 def _feedback_gain_table(params: ModelParams, trader: TraderCoefficients,
@@ -260,8 +226,10 @@ def existence_diagnostic(params: ModelParams, trader: TraderCoefficients,
     of its row-scaled version.  Existence requires the three leading
     eigenvalues negative and the fourth (and the determinant) zero.
     """
-    u, v, bmat = _reduced_uvb(trader.f2.values, trader.f3.values, var_alpha.values,
-                              params)
+    # B = S, U = W W^T and V = P9 of the equation restricted to the corner
+    bmat, w, v = _riccati_terms(trader.f1.values, trader.f2.values, trader.f3.values,
+                                var_alpha.values, params, _CORNER)
+    u = _outer(w, w)
     cmat = np.array([[0.0, 0.0], [0.0, 1.0]])
     top_left = cmat @ v + _transpose(v) @ cmat + 2.0 * bmat
     top_right = cmat @ u

@@ -208,7 +208,7 @@ def _broker_hjb_residuals(params, trader, broker):
     matrices."""
     a, b, p = params.temp_impact, params.fee_informed, params.perm_impact
     f1, f3 = trader.f1.values, trader.f3.values
-    e = broker.c_belief * trader.f2.values
+    e = params.c_belief * trader.f2.values
     g, k = broker.g2.values, broker.gains.values
     n = len(e)
     zero = np.zeros(n)
@@ -277,8 +277,8 @@ def test_criterion_10_second_order_belief(grid1000):
     tr = bg.solve_trader(p10, grid1000)
     br1 = bg.solve_broker(p10.replace(c_belief=1.0), tr, grid1000)
     br0 = bg.solve_broker(p10.replace(c_belief=0.0), tr, grid1000)
-    foc, hjb = np.max([_broker_hjb_residuals(p10, tr, br) for br in (br0, br1)],
-                      axis=0)
+    foc, hjb = np.max([_broker_hjb_residuals(p10.replace(c_belief=c), tr, br)
+                       for c, br in ((0.0, br0), (1.0, br1))], axis=0)
 
     w1, w0 = br1.gains.values, br0.gains.values
     d_qb = w1[:-1, 0] - w0[:-1, 0]

@@ -9,7 +9,6 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,43 +21,29 @@ from brokergame import analytics, sim
 from brokergame.sim import BROKER_MODES, _draw_noise, _simulate_core, _Tables
 
 
-def _flat_path(grid, price, nu, eta, xi, wealth):
-    n = grid.steps + 1
-    return SimpleNamespace(
-        grid=grid,
-        price=np.full(n, float(price)),
-        rate_broker=np.full(n, float(nu)),
-        rate_trader=np.full(n, float(eta)),
-        flow=np.full(n, float(xi)),
-        wealth_broker=float(wealth),
-        notional=float(price) * (abs(nu) + abs(eta) + abs(xi)) * grid.horizon,
-    )
-
-
-def test_outperformance_identical_paths_zero(grid200):
-    p = _flat_path(grid200, 100.0, 1.0, 1.0, 1.0, 5.0)
-    assert bg.outperformance(p, p) == 0.0
+def test_outperformance_identical_paths_zero():
+    assert bg.outperformance(5.0, 5.0, 300.0) == 0.0
 
 
 def test_outperformance_two_step_arithmetic():
-    grid = bg.TimeGrid(1.0, 2)
-    bench = _flat_path(grid, 100.0, 1.0, 1.0, 1.0, 0.0)
-    opt = _flat_path(grid, 100.0, 1.0, 1.0, 1.0, 0.001)
-    # constant integrand: trapezoid equals 100 * 3 * horizon
-    assert bg.outperformance(opt, bench) == pytest.approx(0.001 / 300.0 * 1e6, rel=1e-12)
+    # price 100 and three unit rates over a unit horizon: notional 300
+    assert bg.outperformance(0.001, 0.0, 300.0) == pytest.approx(0.001 / 300.0 * 1e6, rel=1e-12)
 
 
-def test_outperformance_linear_in_gap(grid200):
-    bench = _flat_path(grid200, 100.0, 1.0, 1.0, 1.0, 0.0)
-    one = bg.outperformance(_flat_path(grid200, 100, 1, 1, 1, 0.5), bench)
-    two = bg.outperformance(_flat_path(grid200, 100, 1, 1, 1, 1.0), bench)
+def test_outperformance_linear_in_gap():
+    one = bg.outperformance(0.5, 0.0, 300.0)
+    two = bg.outperformance(1.0, 0.0, 300.0)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
+    # arrays of paths give the per-path values
+    many = bg.outperformance(np.array([0.5, 1.0]), np.zeros(2), np.full(2, 300.0))
+    assert many.tolist() == [one, two]
 
 
-def test_outperformance_zero_notional_error(grid200):
-    silent = _flat_path(grid200, 100.0, 0.0, 0.0, 0.0, 0.0)
+def test_outperformance_zero_notional_error():
     with pytest.raises(bg.MetricUndefinedError):
-        bg.outperformance(silent, silent)
+        bg.outperformance(0.0, 0.0, 0.0)
+    with pytest.raises(bg.MetricUndefinedError):
+        bg.outperformance(np.ones(3), np.zeros(3), np.array([1.0, 0.0, 2.0]))
 
 
 def test_t_test_degenerate_zero_sample():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import brokergame as bg
-from brokergame.broker import (_p9, _p_matrices, _reduced_uvb, export_broker_csv,
+from brokergame.broker import (_p9, _p_matrices, _riccati_terms, export_broker_csv,
                                solve_price_filter_variance)
 from brokergame.odes import StageLattice, rk4_integrate
 
-from oracles import riccati_constant_solution
+from oracles import reduced_broker_uvb, riccati_constant_solution
 
 
 def test_price_variance_steady_state(params, grid1000, bundle):
@@ -157,7 +157,6 @@ def test_belief_sweep_continuity(params, grid200):
     gains = {}
     for c in (0.0, 0.5, 1.0):
         br = bg.solve_broker(params.replace(c_belief=c), tr, grid200)
-        assert br.c_belief == c
         gains[c] = br.gains.values
         assert np.all(np.isfinite(gains[c]))
     step1 = np.abs(gains[0.5] - gains[0.0]).max()
@@ -177,13 +176,14 @@ def test_csv_export_shape(bundle, grid1000):
 
 
 def test_reduced_matrices_match_block_of_full(params, grid1000, bundle):
-    # U, V, B are the corner restriction of the full-system matrices
-    tr, br = bundle.trader, bundle.broker
-    for t in (0.1, 0.6, 0.95):
-        u, v, bmat = _reduced_uvb(tr.f2(t), tr.f3(t), br.var_alpha(t), params)
-        p2, p5, p7, p8, _ = _p_matrices(tr.f1(t), tr.f2(t), tr.f3(t), br.var_alpha(t), params)
-        p9 = _p9(p2, p7, p8)
-        idx = np.ix_([0, 3], [0, 3])
-        assert np.abs(4.0 * np.outer(p8, p8)[idx] - u).max() < 1e-12 * np.abs(u).max()
-        assert np.abs(p9[idx] - v).max() < 1e-12 * np.abs(v).max()
-        assert np.abs((np.outer(p7, p7) + p5)[idx] - bmat).max() < 1e-12 * np.abs(bmat).max()
+    # the Riccati terms restricted to (q_broker, q_trader) are the corner's
+    # closed forms U = W W^T, V = P9 and B = S, for any belief
+    tr, va = bundle.trader, bundle.broker.var_alpha
+    for c in (1.0, 0.5):
+        pc = params.replace(c_belief=c)
+        for t in (0.1, 0.6, 0.95):
+            u, v, bmat = reduced_broker_uvb(tr.f2(t), tr.f3(t), va(t), pc)
+            s, w, p9 = _riccati_terms(tr.f1(t), tr.f2(t), tr.f3(t), va(t), pc, (0, 3))
+            assert np.abs(np.outer(w, w) - u).max() < 1e-12 * np.abs(u).max()
+            assert np.abs(p9 - v).max() < 1e-12 * np.abs(v).max()
+            assert np.abs(s - bmat).max() < 1e-12 * np.abs(bmat).max()
