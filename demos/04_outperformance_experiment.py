@@ -20,7 +20,7 @@ n_paths = 2000
 for source in ("price", "flow"):
     t0 = time.time()
     report, _ = bg.run_experiment(params, grid, bg.StrategyConfig(signal_source=source),
-                                  n_paths, base_seed=20240901, threads=2)
+                                  n_paths, base_seed=20240901)
     took = time.time() - t0
     print(f"signal source = {source}  ({n_paths} paths, {took:.1f}s)")
     for i, b in sorted(report.benchmarks.items()):

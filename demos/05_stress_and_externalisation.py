@@ -33,7 +33,7 @@ print(f"  median G(nu)/G(eta) over the path: {np.median(q):.3f}\n")
 print("stress sweep (+/-50% on the broker's learning parameters, 1,000 paths)")
 sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
 sr = bg.stress_runner(params, sweep, grid, bg.StrategyConfig(), 1000,
-                      base_seed=20240901, threads=2)
+                      base_seed=20240901)
 print(f"  base     : " + " / ".join(
     f"{sr.base.benchmarks[i].mean:6.1f}" for i in (1, 2, 3)))
 for cell in sr.cells:

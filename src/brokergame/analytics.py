@@ -320,7 +320,8 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     the base cell's four arms plus every stressed cell's optimal arm on it.
     A cell's report reuses the base cell's benchmark arms: their rules read
     only the broker's inventory, the client flows and the true trader, none
-    of which the stress touches.
+    of which the stress touches.  ``threads`` is accepted and ignored until
+    ROADMAP item 4's benchmark change removes it from the workloads.
     """
     from .sim import BROKER_MODES, _run_jobs, _Tables, build_coefficients  # deferred: cycle
 
@@ -339,7 +340,7 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     for _, _, stressed in cells:
         bundle = build_coefficients(stressed, grid)
         jobs.append((_Tables(params, stressed, bundle, trader_true=base.trader), optimal))
-    results = _run_jobs(jobs, seed, grid.steps, n_paths, chunk_size, threads)
+    results = _run_jobs(jobs, seed, grid.steps, n_paths, chunk_size)
 
     base_arms = dict(zip(BROKER_MODES, results))
     report = lambda per_arm, model: build_experiment_report(

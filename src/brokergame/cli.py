@@ -34,7 +34,7 @@ from .trader import export_trader_csv
 
 _GRID_KEYS = {"horizon": float, "steps": int}
 _STRATEGY_KEYS = {"signal_source": str, "mispecify_qi": str, "unwind_tail": int}
-_EXPERIMENT_KEYS = {"paths": int, "seed": int, "chunk": int, "threads": int}
+_EXPERIMENT_KEYS = {"paths": int, "seed": int, "chunk": int}
 _OUTPUT_KEYS = {"out_dir": str}
 
 
@@ -48,7 +48,6 @@ class RunConfig:
     paths: int = 10000
     seed: int = 1729
     chunk: int = 2500
-    threads: int = 0          # 0 = all cores
     out_dir: str = "."
 
     def strategy(self, broker_mode: str = "optimal") -> StrategyConfig:
@@ -112,7 +111,6 @@ def load_config(path: str | None) -> RunConfig:
     cfg.paths = ekw.get("paths", cfg.paths)
     cfg.seed = ekw.get("seed", cfg.seed)
     cfg.chunk = ekw.get("chunk", cfg.chunk)
-    cfg.threads = ekw.get("threads", cfg.threads)
     okw = section_kwargs("output")
     cfg.out_dir = okw.get("out_dir", cfg.out_dir)
     return cfg
@@ -131,13 +129,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg.params = cfg.params.replace(c_belief=args.c_belief)
     if getattr(args, "out_dir", None) is not None:
         cfg.out_dir = args.out_dir
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     return cfg
-
-
-def _threads(cfg: RunConfig) -> int:
-    return cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
 
 
 def _outpath(cfg: RunConfig, name: str) -> str:
@@ -201,8 +193,7 @@ def cmd_path(cfg: RunConfig, n_band: int) -> int:
 
 def cmd_experiment(cfg: RunConfig, benchmarks: str) -> int:
     report, _ = run_experiment(cfg.params, cfg.grid, cfg.strategy(), cfg.paths,
-                               base_seed=cfg.seed, chunk_size=cfg.chunk,
-                               threads=_threads(cfg))
+                               base_seed=cfg.seed, chunk_size=cfg.chunk)
     if benchmarks != "all":
         keep = {int(benchmarks)}
         report = dataclasses.replace(
@@ -220,8 +211,7 @@ def cmd_experiment(cfg: RunConfig, benchmarks: str) -> int:
 def cmd_stress(cfg: RunConfig) -> int:
     sweep = {name: [0.5, 1.5] for name in analytics.LEARNING_PARAMS}
     sr = analytics.stress_runner(cfg.params, sweep, cfg.grid, cfg.strategy(),
-                                 cfg.paths, base_seed=cfg.seed, chunk_size=cfg.chunk,
-                                 threads=_threads(cfg))
+                                 cfg.paths, base_seed=cfg.seed, chunk_size=cfg.chunk)
     with open(_outpath(cfg, "stress.json"), "w", encoding="ascii") as fh:
         fh.write(analytics.stress_to_json(sr) + "\n")
     analytics.stress_to_csv(sr, _outpath(cfg, "stress.csv"))
@@ -245,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--c-belief", dest="c_belief", type=float,
                     help="the broker's belief in her own influence (sets [model] c_belief)")
     ap.add_argument("--out-dir", dest="out_dir")
-    ap.add_argument("--threads", type=int, help="worker cap (0 = all cores)")
     ap.add_argument("command", choices=("coeffs", "diag", "path", "experiment", "stress"))
     return ap
 

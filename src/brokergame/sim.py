@@ -4,7 +4,7 @@ One Euler-Maruyama step advances price, signal, noise flow, both inventories,
 both cash accounts and the estimators, with controls held constant over each
 interval and computed from left-endpoint states.  Paths are vectorised, and
 every path owns its own seeded random stream so results are independent of
-batch or thread layout.
+chunking.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -18,7 +18,6 @@ per-chunk pass.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -217,6 +216,8 @@ def _draw_noise(base_seed: int, path_indices, steps: int):
     increments are ``(steps, paths, 3)``, a view of a time-major buffer in
     which each normal component of a step is contiguous over paths.
     """
+    if base_seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {base_seed}")
     m = len(path_indices)
     noise = np.empty((steps, 3, m))
     q0 = np.empty(m)
@@ -509,29 +510,24 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
     return _simulate_core(tables, config, eps, q0, record=True)
 
 
-def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int,
-              threads: int):
+def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):
     """Run every ``(tables, arm config)`` job on the same noise.
 
     Each chunk of paths draws its noise once (path ``n`` from
-    ``base_seed ^ n``) and runs every job on it.  Returns one metrics dict
-    per job, in job order, with the chunks concatenated in path order.
+    ``base_seed ^ n``) and runs every job on it, chunk after chunk on the
+    calling thread.  Returns one metrics dict per job, in job order, with
+    the chunks concatenated in path order.
     """
     if n_paths < 1 or chunk_size < 1:
         raise ValidationError(f"n_paths ({n_paths}) and chunk_size ({chunk_size}) must be >= 1")
 
-    def run_chunk(lo_hi):
-        lo, hi = lo_hi
+    def run_chunk(lo, hi):
         q0, eps = _draw_noise(base_seed, range(lo, hi), steps)
         return [_simulate_core(tables, config, eps, q0, record=False)[0]
                 for tables, config in jobs]
 
-    ranges = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
-    if threads and threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, ranges))
-    else:
-        results = [run_chunk(r) for r in ranges]
+    results = [run_chunk(lo, min(lo + chunk_size, n_paths))
+               for lo in range(0, n_paths, chunk_size)]
     return [{key: np.concatenate([out[j][key] for out in results], axis=-1)
              for key in results[0][j]}
             for j in range(len(jobs))]
@@ -547,7 +543,8 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
     increments (seed ``base_seed ^ index``).  ``bundle`` is built from
     ``params`` when not given.  Returns an
     :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
-    metric arrays keyed by arm name.
+    metric arrays keyed by arm name.  ``threads`` is accepted and ignored
+    until ROADMAP item 4's benchmark change removes it from the workloads.
     """
     from .analytics import build_experiment_report   # deferred: avoids module cycle
 
@@ -557,7 +554,7 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
     tables = _Tables(params, params, bundle)
     jobs = [(tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
     per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, seed, grid.steps, n_paths,
-                                               chunk_size, threads)))
+                                               chunk_size)))
     report = build_experiment_report(per_arm, params=params, model_params=params,
                                      config=config, n_paths=n_paths, base_seed=seed)
     return report, per_arm

@@ -17,13 +17,12 @@ from brokergame.cli import main as cli_main
 from brokergame.odes import StageLattice, rk4_integrate
 from brokergame.sim import CoefficientBundle, _Tables, _draw_noise, _simulate_core
 
-from oracles import riccati_constant_solution
+from oracles import broker_hjb_residuals, riccati_constant_solution
 
 pytestmark = pytest.mark.acceptance
 
 N_PATHS = 10_000
 BASE_SEED = 20240901
-THREADS = 2
 
 
 def _line(num, ok, detail):
@@ -35,8 +34,7 @@ def _line(num, ok, detail):
 def table1(params, grid1000, bundle):
     report, _ = bg.run_experiment(params, grid1000,
                                   bg.StrategyConfig(signal_source="price"),
-                                  N_PATHS, base_seed=BASE_SEED, bundle=bundle,
-                                  threads=THREADS)
+                                  N_PATHS, base_seed=BASE_SEED, bundle=bundle)
     return report
 
 
@@ -44,8 +42,7 @@ def table1(params, grid1000, bundle):
 def table2(params, grid1000, bundle):
     report, _ = bg.run_experiment(params, grid1000,
                                   bg.StrategyConfig(signal_source="flow"),
-                                  N_PATHS, base_seed=BASE_SEED, bundle=bundle,
-                                  threads=THREADS)
+                                  N_PATHS, base_seed=BASE_SEED, bundle=bundle)
     return report
 
 
@@ -186,7 +183,7 @@ def test_criterion_9_stress_robustness(params, grid1000):
     sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
     sr = bg.stress_runner(params, sweep, grid1000,
                           bg.StrategyConfig(signal_source="price"), N_PATHS,
-                          base_seed=BASE_SEED, threads=THREADS)
+                          base_seed=BASE_SEED)
     ok = True
     rows = []
     for cell in sr.cells:
@@ -199,49 +196,6 @@ def test_criterion_9_stress_robustness(params, grid1000):
                     f"{b1.mean:.0f}/{b2.mean:.0f}/{b3.mean:.0f}"
                     + ("" if cell_ok else " <-- violation"))
     assert _line(9, ok, "; ".join(rows))
-
-
-def _broker_hjb_residuals(params, trader, broker):
-    """Worst relative residuals of the broker's first-order condition (all
-    nodes) and HJB equation (central differences, t <= 0.9), with the
-    Hamiltonian written from the model's dynamics, not from the solver's
-    matrices."""
-    a, b, p = params.temp_impact, params.fee_informed, params.perm_impact
-    f1, f3 = trader.f1.values, trader.f3.values
-    e = params.c_belief * trader.f2.values
-    g, k = broker.g2.values, broker.gains.values
-    n = len(e)
-    zero = np.zeros(n)
-    unit = np.eye(4)
-    w = np.stack([1.0 - e, zero, zero, e], axis=1)   # state drift per unit of nu
-    m = np.stack([zero, f1, zero, f3], axis=1)       # client's rate without nu
-    drift = np.zeros((n, 4, 4))                      # state drift without nu
-    drift[:, 0] = -m - unit[2]
-    drift[:, 1, 1] = -params.kappa_signal
-    drift[:, 2, 2] = -params.kappa_flow
-    drift[:, 3] = m
-    eta = e[:, None] * k + m
-    phi = params.phi0_broker + params.phi1_broker * broker.var_alpha.values
-
-    # d/dnu of -a nu^2 + b eta^2 + p q_b nu + 2 y^T G w nu, as a row acting on y
-    foc = (-2.0 * a * k + 2.0 * b * e[:, None] * eta + p * unit[0]
-           + 2.0 * np.einsum("kij,kj->ki", g, w))
-    foc_rel = np.abs(foc).max(axis=1) / np.abs(2.0 * a * k).max(axis=1)
-
-    # running gain at nu = k . y, as a (non-symmetric) quadratic form in y:
-    # -a nu^2 + b eta^2 + b_u flow^2 + q_b (p nu + alpha_hat) - phi q_b^2
-    # plus the drift of y^T G y
-    outer = "ki,kj->kij"
-    ham = (-a * np.einsum(outer, k, k) + b * np.einsum(outer, eta, eta)
-           + 2.0 * g @ (drift + np.einsum(outer, w, k)))
-    ham[:, 0] += p * k + unit[1]
-    ham[:, 0, 0] -= phi
-    ham[:, 2, 2] += params.fee_uninformed
-    dg = (g[2:] - g[:-2]) / (2.0 * broker.grid.dt)
-    resid = dg + 0.5 * (ham + ham.transpose(0, 2, 1))[1:-1]
-    hjb_rel = np.abs(resid).max(axis=(1, 2)) / np.abs(dg).max(axis=(1, 2))
-    inner = broker.grid.times[1:-1] <= 0.9
-    return float(foc_rel.max()), float(hjb_rel[inner].max())
 
 
 def test_criterion_10_second_order_belief(grid1000):
@@ -277,7 +231,7 @@ def test_criterion_10_second_order_belief(grid1000):
     tr = bg.solve_trader(p10, grid1000)
     br1 = bg.solve_broker(p10.replace(c_belief=1.0), tr, grid1000)
     br0 = bg.solve_broker(p10.replace(c_belief=0.0), tr, grid1000)
-    foc, hjb = np.max([_broker_hjb_residuals(p10.replace(c_belief=c), tr, br)
+    foc, hjb = np.max([broker_hjb_residuals(p10.replace(c_belief=c), tr, br)
                        for c, br in ((0.0, br0), (1.0, br1))], axis=0)
 
     w1, w0 = br1.gains.values, br0.gains.values
@@ -312,8 +266,7 @@ def test_criterion_11_determinism(tmp_path):
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        assert cli_main(["--config", str(ini), "--out-dir", str(out),
-                         "--threads", "2", "experiment"]) == 0
+        assert cli_main(["--config", str(ini), "--out-dir", str(out), "experiment"]) == 0
         assert cli_main(["--config", str(ini), "--out-dir", str(out), "coeffs"]) == 0
         outs.append(out)
     same = True

@@ -284,9 +284,9 @@ def test_stress_runner_matches_independent_cells(params, cfg):
     sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
     config = bg.StrategyConfig(**cfg)
     oracle = _stress_texts(_independent_stress(params, sweep, grid, config, 30, 23))
-    for threads in (1, 2):
+    for chunk in (13, 30):
         sr = bg.stress_runner(params, sweep, grid, config, 30, base_seed=23,
-                              chunk_size=13, threads=threads)
+                              chunk_size=chunk)
         assert _stress_texts(sr) == oracle
 
 

@@ -54,9 +54,10 @@ def test_invalid_config_exit_code(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    ini = _write(tmp_path / "bad.ini", "[model]\nbanana = 1\n")
-    assert main(["--config", ini, "coeffs"]) == 2
-    assert "banana" in capsys.readouterr().err
+    for section, key in (("model", "banana"), ("experiment", "threads")):
+        ini = _write(tmp_path / "bad.ini", f"[{section}]\n{key} = 2\n")
+        assert main(["--config", ini, "coeffs"]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -166,6 +167,12 @@ def test_zero_chunk_rejected(tmp_path, capsys, command):
                  "[grid]\nsteps = 50\n\n[experiment]\npaths = 3\nchunk = 0\n")
     assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), command]) == 2
     assert "chunk_size (0)" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_code(tmp_path, small_ini, capsys):
+    assert main(["--config", small_ini, "--out-dir", str(tmp_path / "o"), "--seed", "-3",
+                 "experiment"]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
 
 def test_flag_overrides(tmp_path, small_ini):

@@ -1,4 +1,5 @@
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -337,13 +338,42 @@ def test_run_experiment_rejects_empty_runs_and_chunks(params, grid200, bundle200
                           bundle=bundle200, chunk_size=chunk_size)
 
 
-def test_run_experiment_threads_match_serial(params, grid200, bundle200):
-    r1, p1 = bg.run_experiment(params, grid200, bg.StrategyConfig(), 30,
-                               base_seed=3, bundle=bundle200, chunk_size=7, threads=1)
-    r2, p2 = bg.run_experiment(params, grid200, bg.StrategyConfig(), 30,
-                               base_seed=3, bundle=bundle200, chunk_size=7, threads=2)
-    assert np.array_equal(p1["optimal"]["wealth_broker"], p2["optimal"]["wealth_broker"])
-    assert r1.benchmarks[2].mean == r2.benchmarks[2].mean
+def test_run_experiment_independent_of_chunking(params, grid200, bundle200):
+    # every metric of every arm is bit-identical whatever the chunk layout
+    runs = [bg.run_experiment(params, grid200, bg.StrategyConfig(signal_source="flow"), 30,
+                              base_seed=3, bundle=bundle200, chunk_size=chunk)[1]
+            for chunk in (1, 7, 30)]
+    for per in runs[1:]:
+        for arm in BROKER_MODES:
+            assert per[arm].keys() == runs[0][arm].keys()
+            for key, values in per[arm].items():
+                assert np.array_equal(values, runs[0][arm][key]), (arm, key)
+    assert runs[0]["optimal"]["alt_naive_checkpoints"].shape == (4, 30)
+
+
+def test_negative_seed_rejected(params, grid200, bundle200):
+    with pytest.raises(bg.ValidationError, match="-1"):
+        bg.run_experiment(params, grid200, bg.StrategyConfig(), 3, base_seed=-1,
+                          bundle=bundle200)
+    with pytest.raises(bg.ValidationError, match="-4"):
+        bg.simulate_path(params, bundle200.trader, bundle200.broker, bundle200.flow,
+                         bg.StrategyConfig(seed=-4))
+
+
+def test_monte_carlo_starts_no_thread(params, grid200, bundle200, monkeypatch):
+    # the benchmark harness still passes threads=2; the chunks must run on
+    # the calling thread all the same
+    def refuse(self):
+        raise AssertionError("the Monte Carlo driver started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report, _ = bg.run_experiment(params, grid200, bg.StrategyConfig(), 10, base_seed=2,
+                                  bundle=bundle200, chunk_size=4, threads=2)
+    assert report.n_paths == 10
+    sweep = {"kappa_signal": [1.5]}
+    sr = bg.stress_runner(params, sweep, bg.TimeGrid(1.0, 50), bg.StrategyConfig(), 6,
+                          base_seed=2, chunk_size=3, threads=2)
+    assert len(sr.cells) == 1
 
 
 @pytest.mark.parametrize("cfg", [dict(signal_source="price"), dict(signal_source="flow"),
