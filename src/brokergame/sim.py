@@ -2,9 +2,15 @@
 
 One Euler-Maruyama step advances price, signal, noise flow, both inventories,
 both cash accounts and the estimators, with controls held constant over each
-interval and computed from left-endpoint states.  Paths are vectorised, and
-every path owns its own seeded random stream so results are independent of
-chunking.
+interval and computed from left-endpoint states.  Each estimator's update is
+folded, once per call, into a one-step affine map ``x' = c[k] x + gain[k]
+obs_k`` on its observation, and the broker's own flows are formed once for
+her account and the book.  The step loop is bound by the count of numpy calls
+per step, not by their size, so it forms only what the arm reads: the
+broker's filters and their diagnostics run only when the rule reads a signal
+estimate or the series are recorded.  Paths are vectorised, and every path
+owns its own seeded random stream so results are independent of chunking;
+the streams are drawn in blocks of paths into one time-major buffer.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -56,6 +62,7 @@ INIT_STATES = (
     "price", "signal", "flow", "q_broker", "q_trader", "q_trader_belief",
     "cash_broker", "cash_trader", "nu_hat", "alpha_hat_price", "alpha_hat_flow",
 )
+NOISE_BLOCK = 32                   # paths per block of the noise draw
 
 
 @dataclass(frozen=True)
@@ -214,17 +221,25 @@ def _draw_noise(base_seed: int, path_indices, steps: int):
     Path n uses ``default_rng(base_seed ^ n)``; the draw order is fixed so
     every strategy arm sees bit-identical noise for a given path index.  The
     increments are ``(steps, paths, 3)``, a view of a time-major buffer in
-    which each normal component of a step is contiguous over paths.
+    which each normal component of a step is contiguous over paths.  Paths
+    are drawn ``NOISE_BLOCK`` at a time into a path-major block, one
+    contiguous row per path, and each block goes into the buffer in one
+    transposed assignment.
     """
     if base_seed < 0:
         raise ValidationError(f"seed must be >= 0, got {base_seed}")
-    m = len(path_indices)
+    paths = [int(n) for n in path_indices]
+    m = len(paths)
     noise = np.empty((steps, 3, m))
     q0 = np.empty(m)
-    for j, n in enumerate(path_indices):
-        rng = np.random.default_rng(base_seed ^ int(n))
-        q0[j] = rng.standard_normal()
-        noise[:, :, j] = rng.standard_normal((steps, 3))
+    block = np.empty((min(NOISE_BLOCK, m), steps, 3))
+    for lo in range(0, m, NOISE_BLOCK):
+        rows = block[:min(NOISE_BLOCK, m - lo)]
+        for j, row in enumerate(rows):
+            rng = np.random.default_rng(base_seed ^ paths[lo + j])
+            q0[lo + j] = rng.standard_normal()
+            rng.standard_normal(out=row)
+        noise[:, :, lo:lo + len(rows)] = rows.transpose(1, 2, 0)
     return q0, noise.transpose(0, 2, 1)
 
 
@@ -270,6 +285,19 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     impact_dt = p.perm_impact * dt
     f1, f2, f3 = tables.f1, tables.f2, tables.f3
     f3b = tables.f3_belief
+    # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k; the
+    # speed filter observes dy, the price filter dz = dprice - impact_dt nu,
+    # the flow filter ztil' - (1 + g6 dt) ztil - g9 dt nu
+    c_nu = 1.0 - tables.theta_trader * dt - tables.gain_nu * impact_dt
+    gain_nu = tables.gain_nu
+    kappa_dt = tables.kappa_model * dt
+    c_price = 1.0 - kappa_dt - tables.gain_price * dt
+    gain_price = tables.gain_price
+    if has_flow:
+        c_flow = 1.0 - kappa_dt - tables.gain_flow * tables.g7 * dt
+        gain_flow, inv_scale = tables.gain_flow, tables.inv_scale
+        carry_ztil = 1.0 + tables.g6 * dt
+        g9_dt = tables.g9 * dt
     # the belief loadings vanish at the horizon: readouts reuse the last
     # interior node, and multiply by its reciprocal
     last = np.minimum(np.arange(n_steps + 1), n_steps - 1)
@@ -285,25 +313,33 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     price = full("price", p.price_init)
     signal = full("signal", p.signal_init)
     flow = full("flow", 0.0)
-    q_b = full("q_broker", 0.0)
-    q_i = full("q_trader", 0.0)
+    # each side's account is one (2, paths) array of (inventory, cash), so a
+    # client trade, the broker's own flows and the conservation gaps each
+    # take one call for both rows
+    acct_b = np.stack([full("q_broker", 0.0), full("cash_broker", 0.0)])
+    acct_i = np.stack([full("q_trader", 0.0), full("cash_trader", 0.0)])
+    q_b, x_b = acct_b
+    q_i, x_i = acct_i
     if config.mispecify_qi:
         q_i += q0_draw
     q_ib = full("q_trader_belief", 0.0)
-    x_b = full("cash_broker", 0.0)
-    x_i = full("cash_trader", 0.0)
     nu_hat = full("nu_hat", 0.0)
     a_price = full("alpha_hat_price", 0.0)
     a_flow = full("alpha_hat_flow", 0.0)
+    # estimates that do not move enter the blow-up probe only if they start
+    # non-finite
+    probe_estimates = observe or not np.isfinite(a_price + a_flow).all()
 
-    # what q_b + q_i and x_b + x_i must equal: the starting books plus the
-    # integrals of nu - xi and of cost_xi - cost_nu
-    book_q = q_b + q_i
-    book_x = x_b + x_i
+    # what acct_b + acct_i must equal: the starting books plus the integral
+    # of the broker's own flow, (nu - xi, cost_xi - cost_nu)
+    book = acct_b + acct_i
+    gaps = np.zeros((2, m))            # running max of |acct_b + acct_i - book|
+    gap = np.empty((2, m))
+    own = np.empty((2, m))             # the broker's own flow over a step
+    client = np.empty((2, m))          # the client's (eta dt, -cost_eta) over a step
     notional = np.zeros(m)             # sum of traded value, trapezoid weights
-    inv_gap = np.zeros(m)
-    cash_gap = np.zeros(m)
-    gap = np.empty(m)
+    traded = np.empty(m)
+    temp = np.empty(m)
     probe = np.empty(m)
     mse_price = np.zeros(m)
     mse_flow = np.zeros(m)
@@ -319,9 +355,11 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         rec["components"] = np.zeros((n_steps + 1, 4, m))
 
     eta = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
-    gamma = eta - f3b[0] * q_ib
-    ztil = gamma * tables.inv_scale[0] if has_flow else None
-    a_naive = None
+    a_naive = gamma = ztil = None
+    if observe:
+        gamma = eta - f3b[0] * q_ib
+        if has_flow:
+            ztil = gamma * inv_scale[0]
     noise = eps.transpose(0, 2, 1)     # (steps, 3, paths)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -344,9 +382,9 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 for j in range(4):
                     rec["components"][k, j] = rule[j, k] * y[j]
 
-            traded = np.abs(nu)
-            traded += np.abs(eta)
-            traded += np.abs(flow)
+            np.abs(nu, out=traded)
+            traded += np.abs(eta, out=temp)
+            traded += np.abs(flow, out=temp)
             traded *= price
             if 0 < k < n_steps:
                 notional += traded
@@ -354,97 +392,105 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 notional += 0.5 * traded
 
             if observe:
-                mse_price += (a_price - signal) ** 2
-                mse_flow += (a_flow - signal) ** 2
+                np.subtract(a_price, signal, out=temp)
+                mse_price += np.square(temp, out=temp)
+                np.subtract(a_flow, signal, out=temp)
+                mse_flow += np.square(temp, out=temp)
                 # divergence diagnostic: flow filter against the naive readout
                 # fed the TRUE inventory (clean reference; under a mispecified
                 # belief both belief-based estimates track the same
                 # contaminated flow and their gap would hide the blow-up)
-                diff = np.abs(a_flow - (eta - f3b_c[k] * q_i) * inv_f1b_c[k])
+                np.multiply(q_i, f3b_c[k], out=temp)
+                np.subtract(eta, temp, out=temp)
+                temp *= inv_f1b_c[k]
+                np.subtract(a_flow, temp, out=temp)
+                diff = np.abs(temp, out=temp)
                 if k <= n_steps - 10:
                     np.fmax(maxdiff, diff, out=maxdiff)
-                for ci, ck in enumerate(check_idx):
-                    if k == ck:
-                        checkpoints[ci] = diff
+                if k in check_idx:
+                    checkpoints[[ck == k for ck in check_idx]] = diff
 
             if k == n_steps:
                 break
 
             e_price, e_sig, e_flow = noise[k]
             nu_dt = nu * dt
-            eta_dt = eta * dt
+            eta_dt = np.multiply(eta, dt, out=client[0])
             flow_dt = flow * dt
             signal_dt = signal * dt
 
-            # cash flows of the interval, each cost already times dt
+            # flows of the interval, each cost already times dt.  client =
+            # (eta dt, -cost_eta) enters the client's account and leaves the
+            # broker's; own = (nu dt - xi dt, cost_xi - cost_nu), her lit
+            # trades and the noise flow, enters her account and the book alike
+            pay = np.multiply(eta, -p.fee_informed, out=client[1])
+            pay -= price
+            pay *= eta_dt
             cost_nu = p.temp_impact * nu
             cost_nu += price
             cost_nu *= nu_dt
-            cost_eta = p.fee_informed * eta
-            cost_eta += price
-            cost_eta *= eta_dt
-            cost_xi = p.fee_uninformed * flow
-            cost_xi += price
-            cost_xi *= flow_dt
-            x_b += cost_eta
-            x_b -= cost_nu
-            x_b += cost_xi
-            x_i -= cost_eta
-            book_x -= cost_nu
-            book_x += cost_xi
-            q_b += nu_dt
-            q_b -= eta_dt
-            q_b -= flow_dt
-            q_i += eta_dt
+            own_x = np.multiply(flow, p.fee_uninformed, out=own[1])
+            own_x += price
+            own_x *= flow_dt
+            own_x -= cost_nu
+            np.subtract(nu_dt, flow_dt, out=own[0])
+            acct_b += own
+            acct_b -= client
+            acct_i += client
+            book += own
             q_ib += eta_dt
-            book_q += nu_dt
-            book_q -= flow_dt
 
-            price_new = price + impact_dt * nu
+            price_new = impact_dt * nu
+            price_new += price
             price_new += signal_dt
             price_new += load_price * e_price
             dprice = price_new - price
             dy = dprice - signal_dt
-            nu_hat = (nu_hat - tables.theta_trader * nu_hat * dt
-                      + tables.gain_nu[k] * (dy - p.perm_impact * nu_hat * dt))
+            nu_hat *= c_nu[k]
+            dy *= gain_nu[k]
+            nu_hat += dy
             price = price_new
             signal *= decay_sig
-            signal += load_sig0 * e_price
+            if load_sig0:                  # the signal loads on price noise when rho != 0
+                signal += load_sig0 * e_price
             signal += load_sig1 * e_sig
             flow *= decay_flow
             flow += load_flow * e_flow
 
-            eta_next = f1[k + 1] * signal + f2[k + 1] * nu_hat + f3[k + 1] * q_i
-            gamma_next = eta_next - f3b[k + 1] * q_ib
+            eta = f1[k + 1] * signal
+            eta += f2[k + 1] * nu_hat
+            eta += f3[k + 1] * q_i
             if observe:
-                dz = dprice - p.perm_impact * nu * dt
-                a_price = (a_price - tables.kappa_model * a_price * dt
-                           + tables.gain_price[k] * (dz - a_price * dt))
+                dz = impact_dt * nu
+                np.subtract(dprice, dz, out=dz)
+                dz *= gain_price[k]
+                a_price *= c_price[k]
+                a_price += dz
+                gamma = f3b[k + 1] * q_ib
+                np.subtract(eta, gamma, out=gamma)
                 if has_flow:
-                    ztil_next = gamma_next * tables.inv_scale[k + 1]
-                    dzf = (ztil_next - ztil) - (tables.g6[k] * ztil + tables.g9[k] * nu) * dt
-                    innov = dzf - tables.g7[k] * a_flow * dt
-                    a_flow = (a_flow - tables.kappa_model * a_flow * dt
-                              + tables.gain_flow[k] * innov)
+                    ztil_next = gamma * inv_scale[k + 1]
+                    innov = ztil_next - carry_ztil[k] * ztil
+                    innov -= g9_dt[k] * nu
+                    innov *= gain_flow[k]
+                    a_flow *= c_flow[k]
+                    a_flow += innov
                     ztil = ztil_next
-            eta, gamma = eta_next, gamma_next
 
-            np.add(q_b, q_i, out=gap)
-            gap -= book_q
+            np.add(acct_b, acct_i, out=gap)
+            gap -= book
             np.abs(gap, out=gap)
-            np.fmax(inv_gap, gap, out=inv_gap)
-            np.add(x_b, x_i, out=probe)
-            np.subtract(probe, book_x, out=gap)
-            np.abs(gap, out=gap)
-            np.fmax(cash_gap, gap, out=cash_gap)
+            np.fmax(gaps, gap, out=gaps)
 
-            # a non-finite probe makes the sum non-finite, so a finite sum
-            # clears every path at once
+            # a non-finite account makes its gap non-finite, and a non-finite
+            # probe makes the sum non-finite, so a finite sum clears every
+            # path at once
+            np.add(gap[0], gap[1], out=probe)
             probe += price
-            probe += q_b
             probe += nu_hat
-            probe += a_price
-            probe += a_flow
+            if probe_estimates:
+                probe += a_price
+                probe += a_flow
             if not math.isfinite(probe.sum()):
                 fresh = ~np.isfinite(probe) & ~blown
                 blow_step[fresh] = k + 1
@@ -460,8 +506,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         "notional": notional,
         "blown": blown,
         "blow_step": blow_step,
-        "max_inventory_gap": inv_gap,
-        "max_cash_gap": cash_gap,
+        "max_inventory_gap": gaps[0],
+        "max_cash_gap": gaps[1],
         "mse_price": mse_price / (n_steps + 1),
         "mse_flow": mse_flow / (n_steps + 1),
         "max_alt_naive_diff": maxdiff,

@@ -9,6 +9,7 @@ integrated backward from zero terminal conditions on the shared grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,23 @@ def _impact_ratio(params: ModelParams) -> float:
     return params.perm_impact / params.sigma_price
 
 
+# classical RK4 damps y' = -rate y for step * rate up to about 2.785
+RK4_STABLE_STEP = 2.78
+# substeps per grid step past which a stiff march is left to fail with the
+# integrator's blow-up error instead of growing its stage lattice without end
+MAX_SUBSTEPS = 64
+
+
+def _stable_substeps(grid: TimeGrid, rate: float, floor: int) -> int:
+    """RK4 substeps per grid step for a march that decays at most at ``rate``.
+
+    ``floor`` sets the accuracy on fine grids; a coarse grid gets enough
+    substeps that each one times the rate stays inside RK4's real-axis
+    stability interval, up to ``MAX_SUBSTEPS``.
+    """
+    return max(floor, min(math.ceil(grid.dt * rate / RK4_STABLE_STEP), MAX_SUBSTEPS))
+
+
 def solve_speed_filter_variance(params: ModelParams, grid: TimeGrid) -> DeterministicTable:
     """Forward Riccati for the trader's filter variance, started at 0.
 
@@ -80,16 +98,20 @@ def solve_speed_filter_variance(params: ModelParams, grid: TimeGrid) -> Determin
 def solve_inventory_coeff(params: ModelParams, var_nu: DeterministicTable,
                           grid: TimeGrid) -> DeterministicTable:
     """Backward Riccati for the quadratic inventory coefficient g2 (< 0)."""
+    b = params.fee_informed
     terminal = -(params.beta0_trader + params.beta1_trader * var_nu.at_index(grid.steps))
-    # the quadratic term g2^2/fee is stiff near the horizon; substeps keep the
-    # backward march stable on coarse grids as well
+    penalty = params.phi0_trader + params.phi1_trader * var_nu.values
+    # the quadratic term g2^2/fee has stiffness 2|g2|/fee; marching back, |g2|
+    # moves from its terminal value toward sqrt(fee * penalty) and never past
+    # the larger of the two, so that bound sizes the substeps before the march
+    bound = max(abs(terminal), math.sqrt(b * penalty.max()))
     g2 = solve_scalar_riccati(
-        quad=1.0 / params.fee_informed,
+        quad=1.0 / b,
         lin=0.0,
-        const=DeterministicTable(
-            "g2_source", grid, -(params.phi0_trader + params.phi1_trader * var_nu.values)),
+        const=DeterministicTable("g2_source", grid, -penalty),
         boundary=terminal,
-        lattice=StageLattice(grid, substeps=4, direction="backward"),
+        lattice=StageLattice(grid, substeps=_stable_substeps(grid, 2.0 * bound / b, 4),
+                             direction="backward"),
         name="g2",
     )
     v = g2.values
@@ -120,7 +142,11 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
     rho = params.rho
     ratio = _impact_ratio(params)   # perm_impact / sigma_price
 
-    lattice = StageLattice(grid, direction="backward")
+    # the system is triangular, so its decay rates are the diagonal entries:
+    # at most max(ka, th) + max|g2|/(2b), or 2 max(ka, th)
+    fast = max(ka, th)
+    rate = max(2.0 * fast, fast + np.abs(g2.values).max() / (2.0 * b))
+    lattice = StageLattice(grid, substeps=_stable_substeps(grid, rate, 1), direction="backward")
     g2s, v = g2(lattice.times), var_nu(lattice.times)
     with np.errstate(over="ignore", invalid="ignore"):
         cross = (p * sa * rho * v / params.sigma_price if params.sigma_price

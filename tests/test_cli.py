@@ -66,6 +66,11 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_coarse_grid_builds(tmp_path):
+    ini = _write(tmp_path / "coarse.ini", "[grid]\nsteps = 20\n")
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "coeffs"]) == 0
+
+
 def test_diag(tmp_path, small_ini, capsys):
     out = tmp_path / "out"
     assert main(["--config", small_ini, "--out-dir", str(out), "diag"]) == 0

@@ -295,6 +295,40 @@ def test_draw_noise_is_per_path_deterministic():
     assert q0a[2] == q0b[0]
 
 
+def test_block_noise_fill_keeps_each_path_stream():
+    # a chunk neither aligned to the draw's path blocks nor starting at 0:
+    # every path reads exactly its own stream, q0 first, then its increments
+    steps, first, m = 40, 2531, 70
+    q0, eps = _draw_noise(1729, range(first, first + m), steps)
+    assert eps.shape == (steps, m, 3)
+    for j in range(m):
+        rng = np.random.default_rng(1729 ^ (first + j))
+        assert q0[j] == rng.standard_normal()
+        assert np.array_equal(eps[:, j, :], rng.standard_normal((steps, 3)))
+
+
+@pytest.mark.parametrize("mode", BROKER_MODES)
+def test_unrecorded_runs_flag_blowups_like_recorded_ones(params, bundle200, mode):
+    # the probe of a run without a record skips the filters it does not
+    # advance; the flags and blow steps must not move.  A huge client book
+    # blows every arm through the trader's fee; a huge broker book blows the
+    # arms that trade on it; an estimate that starts infinite blows an arm
+    # whether or not its filter runs
+    tables = _Tables(params, params, bundle200)
+    q0, eps = _draw_noise(2, [0], bundle200.trader.grid.steps)
+    cfg = bg.StrategyConfig(broker_mode=mode, signal_source="flow")
+    for init, blows in (({"q_broker": 1e160}, mode != "benchmark3"),
+                        ({"q_trader": 1e160}, True),
+                        ({"alpha_hat_flow": np.inf}, True),
+                        ({"alpha_hat_price": -np.inf}, True)):
+        quiet, _ = _simulate_core(tables, cfg, eps, q0, record=False, init=init)
+        recorded, _ = _simulate_core(tables, cfg, eps, q0, record=True, init=init)
+        assert quiet["blown"][0] == recorded["blown"][0] == blows, init
+        assert quiet["blow_step"][0] == recorded["blow_step"][0], init
+        if blows:
+            assert quiet["blow_step"][0] >= 1, init
+
+
 @settings(max_examples=8, deadline=None)
 @given(ka=st.floats(1.0, 8.0), sa=st.floats(0.2, 2.0), th=st.floats(5.0, 15.0),
        sb=st.floats(5.0, 60.0), su=st.floats(10.0, 120.0), seed=st.integers(0, 2**20))

@@ -138,3 +138,26 @@ def test_csv_export_columns(bundle, grid1000):
     assert header == ["t", "var_nu", "g2", "z1", "z2", "z3", "z4", "z5", "z6",
                       "z7", "z8", "f1", "f2", "f3"]
     assert len(lines) == grid1000.steps + 2
+
+
+def test_coarse_grids_build_and_match_a_fine_one(params, bundle):
+    # the g2 and z marches size their substeps from bounds known before they
+    # start, so a 20-step grid builds at the defaults; t = 0 lands close to
+    # the 1,000-step tables
+    fine, coarse = bundle, bg.build_coefficients(params, bg.TimeGrid(1.0, 20))
+    rel = lambda name: abs(getattr(coarse.trader, name).values[0]
+                           / getattr(fine.trader, name).values[0] - 1.0)
+    assert rel("f1") < 1e-3
+    assert rel("f2") < 1e-3
+    assert rel("f3") < 1e-2
+    g_fine, g_coarse = fine.broker.gains.values[0], coarse.broker.gains.values[0]
+    assert np.abs(g_coarse - g_fine).max() < 2e-2 * np.abs(g_fine).max()
+
+
+def test_stiff_g2_march_still_fails_with_the_blowup_error(grid200):
+    # the substeps a stiff march asks for are capped, so a vanishing fee
+    # fails fast with the typed error instead of building a huge lattice
+    p = bg.DEFAULT_PARAMS.replace(fee_informed=1e-12)
+    var_nu = solve_speed_filter_variance(p, grid200)
+    with pytest.raises(bg.IntegrationBlowupError, match="g2"):
+        solve_inventory_coeff(p, var_nu, grid200)
