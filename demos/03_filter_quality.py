@@ -12,7 +12,6 @@ import os
 import numpy as np
 
 import brokergame as bg
-from brokergame.sim import _Tables, _draw_noise, _simulate_core
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -20,12 +19,16 @@ os.makedirs(OUT, exist_ok=True)
 grid = bg.TimeGrid(1.0, 1000)
 params = bg.DEFAULT_PARAMS
 bundle = bg.build_coefficients(params, grid)
-tables = _Tables(params, params, bundle)
-
 n_paths = 400
-q0, eps = _draw_noise(2024, range(n_paths), grid.steps)
-clean, _ = _simulate_core(tables, bg.StrategyConfig(signal_source="flow"),
-                          eps, q0, record=False)
+
+
+def diagnostics(config):
+    """Filter diagnostics of the same 400 recorded paths under ``config``."""
+    _, rec = bg.simulate_recorded(params, bundle, config, n_paths, 2024)
+    return bg.filter_diagnostics(bundle.trader, rec)
+
+
+clean = diagnostics(bg.StrategyConfig(signal_source="flow"))
 
 rmse_price = np.sqrt(clean["mse_price"])
 rmse_flow = np.sqrt(clean["mse_flow"])
@@ -35,9 +38,7 @@ print(f"flow filter wins on {np.mean(clean['mse_flow'] < clean['mse_price']):.1%
 print(f"median max |flow - naive| estimate gap       : "
       f"{np.median(clean['max_alt_naive_diff']):.2e}")
 
-mis, _ = _simulate_core(tables,
-                        bg.StrategyConfig(signal_source="flow", mispecify_qi=True),
-                        eps, q0, record=False)
+mis = diagnostics(bg.StrategyConfig(signal_source="flow", mispecify_qi=True))
 cp = np.median(np.abs(mis["alt_naive_checkpoints"]), axis=1)
 print("with a hidden initial client inventory, the flow estimate drifts from")
 print("the clean reference as the horizon approaches (median abs gap):")

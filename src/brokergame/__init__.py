@@ -26,7 +26,7 @@ from .odes import (DeterministicTable, StageLattice, TimeGrid, rk4_integrate,
 from .params import DEFAULT_PARAMS, ModelParams
 from .sim import (CoefficientBundle, PathResult, StrategyConfig,
                   build_coefficients, export_filter_csv, export_path_csv,
-                  run_experiment, simulate_path, simulate_recorded)
+                  filter_diagnostics, run_experiment, simulate_path, simulate_recorded)
 from .trader import TraderCoefficients, export_trader_csv, solve_trader
 
 __version__ = "0.1.0"

@@ -176,17 +176,18 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
     The full 4x4 matrix Riccati is integrated backward (re-symmetrised each
     step) and cross-checked against the same equation restricted to the
     (q_broker, q_trader) block, which is authoritative for the corner entries
-    that enter the control.  A blow-up here means the permanent impact is
-    outside the range where the reduced system has a global solution.
+    that enter the control.  A blow-up means the permanent impact is outside
+    the range where the reduced system has a global solution, or the grid step
+    is too coarse for the marches' fixed substeps.
     """
     var_alpha = solve_price_filter_variance(params, grid)
     try:
-        g2_full = _march(params, trader, var_alpha, grid, (0, 1, 2, 3), "g2")
+        g2_full = _march(params, trader, var_alpha, grid, (0, 1, 2, 3), "broker_g2")
         g2_block = solve_reduced_riccati(params, trader, var_alpha, grid)
     except IntegrationBlowupError as exc:
         raise ExistenceError(
-            "matrix Riccati blow-up: permanent impact is outside the admissible "
-            f"range for these parameters ({exc})"
+            f"broker matrix Riccati blow-up ({exc}): either the grid step is too coarse for "
+            "the march's substeps or the permanent impact is outside its admissible range"
         ) from exc
 
     full = np.array(g2_full.values)

@@ -7,10 +7,11 @@ folded, once per call, into a one-step affine map ``x' = c[k] x + gain[k]
 obs_k`` on its observation, and the broker's own flows are formed once for
 her account and the book.  The step loop is bound by the count of numpy calls
 per step, not by their size, so it forms only what the arm reads: the
-broker's filters and their diagnostics run only when the rule reads a signal
-estimate or the series are recorded.  Paths are vectorised, and every path
-owns its own seeded random stream so results are independent of chunking;
-the streams are drawn in blocks of paths into one time-major buffer.
+broker's filters run only when the rule reads a signal estimate or the series
+are recorded, and their diagnostics come from the records.  Paths are
+vectorised, and every path owns its own seeded random stream so results are
+independent of chunking; the streams are drawn in blocks of paths into one
+time-major buffer.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -43,6 +44,7 @@ __all__ = [
     "PathResult",
     "simulate_path",
     "simulate_recorded",
+    "filter_diagnostics",
     "run_experiment",
     "export_path_csv",
     "export_filter_csv",
@@ -87,6 +89,9 @@ class StrategyConfig:
             raise ValidationError(f"broker_mode must be one of {BROKER_MODES}")
         if self.signal_source not in SIGNAL_SOURCES:
             raise ValidationError(f"signal_source must be one of {SIGNAL_SOURCES}")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.seed, self.unwind_tail)):
+            raise ValidationError(f"seed ({self.seed!r}) and unwind_tail ({self.unwind_tail!r}) "
+                                  "must be integers")
         if self.unwind_tail < 0:
             raise ValidationError("unwind_tail must be >= 0")
 
@@ -247,9 +252,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                    q0_draw: np.ndarray, record: bool, init: dict | None = None):
     """Advance a batch of paths under the config's broker rule.
 
-    Returns (metrics, records): every metric is ``(paths,)``
-    (``alt_naive_checkpoints``: ``(4, paths)``); records are None unless
-    ``record``, and then each series is ``(steps+1, paths)`` and
+    Returns (metrics, records): every metric is ``(paths,)``; records are
+    None unless ``record``, and then each series is ``(steps+1, paths)`` and
     ``components`` ``(steps+1, 4, paths)``.
     """
     p = tables.true
@@ -266,8 +270,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         raise ValidationError(f"init names no state: {unknown}; states are {INIT_STATES}")
     rule = _broker_rule(tables, config).T
     # the rate sums only the state columns the rule ever reads; the broker's
-    # filters and their diagnostics run when the rule reads the signal
-    # estimate or the series are recorded
+    # filters run when the rule reads the signal estimate or the series are
+    # recorded
     active = [j for j in range(5) if rule[j].any()]
     observe = record or 1 in active
     source = SIGNAL_SOURCES.index(config.signal_source)
@@ -298,10 +302,9 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         gain_flow, inv_scale = tables.gain_flow, tables.inv_scale
         carry_ztil = 1.0 + tables.g6 * dt
         g9_dt = tables.g9 * dt
-    # the belief loadings vanish at the horizon: readouts reuse the last
-    # interior node, and multiply by its reciprocal
-    last = np.minimum(np.arange(n_steps + 1), n_steps - 1)
-    f3b_c, inv_f1b_c = f3b[last], 1.0 / tables.f1_belief[last]
+    # the belief loadings vanish at the horizon: the naive readout reuses the
+    # last interior node, and multiplies by its reciprocal
+    inv_f1b_c = 1.0 / tables.f1_belief[np.minimum(np.arange(n_steps + 1), n_steps - 1)]
 
     def full(key, default):
         value = init.get(key, default)
@@ -341,11 +344,6 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     traded = np.empty(m)
     temp = np.empty(m)
     probe = np.empty(m)
-    mse_price = np.zeros(m)
-    mse_flow = np.zeros(m)
-    maxdiff = np.zeros(m)
-    check_idx = [n_steps // 4, n_steps // 2, (3 * n_steps) // 4, max(n_steps - 10, 0)]
-    checkpoints = np.zeros((len(check_idx), m))
     blown = np.zeros(m, dtype=bool)
     blow_step = np.full(m, -1, dtype=np.int64)
 
@@ -390,25 +388,6 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 notional += traded
             else:
                 notional += 0.5 * traded
-
-            if observe:
-                np.subtract(a_price, signal, out=temp)
-                mse_price += np.square(temp, out=temp)
-                np.subtract(a_flow, signal, out=temp)
-                mse_flow += np.square(temp, out=temp)
-                # divergence diagnostic: flow filter against the naive readout
-                # fed the TRUE inventory (clean reference; under a mispecified
-                # belief both belief-based estimates track the same
-                # contaminated flow and their gap would hide the blow-up)
-                np.multiply(q_i, f3b_c[k], out=temp)
-                np.subtract(eta, temp, out=temp)
-                temp *= inv_f1b_c[k]
-                np.subtract(a_flow, temp, out=temp)
-                diff = np.abs(temp, out=temp)
-                if k <= n_steps - 10:
-                    np.fmax(maxdiff, diff, out=maxdiff)
-                if k in check_idx:
-                    checkpoints[[ck == k for ck in check_idx]] = diff
 
             if k == n_steps:
                 break
@@ -508,10 +487,6 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         "blow_step": blow_step,
         "max_inventory_gap": gaps[0],
         "max_cash_gap": gaps[1],
-        "mse_price": mse_price / (n_steps + 1),
-        "mse_flow": mse_flow / (n_steps + 1),
-        "max_alt_naive_diff": maxdiff,
-        "alt_naive_checkpoints": checkpoints,
     }
     return metrics, rec
 
@@ -531,21 +506,9 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     q0, eps = _draw_noise(use_seed, [0], trader.grid.steps)
     metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
     series = {name: rec[name][:, 0].copy() for name in RECORD_SERIES}
-    return PathResult(
-        grid=trader.grid,
-        config=config,
-        seed=use_seed,
-        t=trader.grid.times,
-        components=rec["components"][:, :, 0].copy(),
-        wealth_broker=float(metrics["wealth_broker"][0]),
-        wealth_trader=float(metrics["wealth_trader"][0]),
-        notional=float(metrics["notional"][0]),
-        blown=bool(metrics["blown"][0]),
-        blow_step=int(metrics["blow_step"][0]),
-        max_inventory_gap=float(metrics["max_inventory_gap"][0]),
-        max_cash_gap=float(metrics["max_cash_gap"][0]),
-        **series,
-    )
+    scalars = {key: value[0].item() for key, value in metrics.items()}
+    return PathResult(grid=trader.grid, config=config, seed=use_seed, t=trader.grid.times,
+                      components=rec["components"][:, :, 0].copy(), **scalars, **series)
 
 
 def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
@@ -554,6 +517,35 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
     tables = _Tables(params, params, bundle)
     q0, eps = _draw_noise(base_seed, range(n_paths), bundle.trader.grid.steps)
     return _simulate_core(tables, config, eps, q0, record=True)
+
+
+def filter_diagnostics(trader: TraderCoefficients, rec: dict) -> dict:
+    """Per-path filter quality of recorded paths.
+
+    ``rec`` is :func:`simulate_recorded`'s record and ``trader`` the broker's
+    model of the client (``bundle.trader``).  ``mse_price``/``mse_flow``:
+    each filter's mean squared error against the signal.  The gap is the
+    flow estimate's distance to the naive readout ``(rate_trader - f3
+    q_trader) / f1`` fed the TRUE client inventory, so a mispecified belief
+    cannot hide the drift; at the horizon, where ``f1`` vanishes, the
+    readout uses the last interior node.  ``max_alt_naive_diff``: its
+    largest value over nodes ``k <= steps - 10`` (0 if none).
+    ``alt_naive_checkpoints`` ``(4, paths)``: its value at nodes ``steps //
+    4``, ``steps // 2``, ``3 steps // 4`` and ``max(steps - 10, 0)``.
+    """
+    signal, a_flow = rec["signal"], rec["alpha_hat_flow"]
+    n = signal.shape[0] - 1
+    last = np.minimum(np.arange(n + 1), n - 1)[:, None]
+    naive_true = rec["rate_trader"] - rec["q_trader"] * trader.f3.values[last]
+    naive_true *= 1.0 / trader.f1.values[last]
+    diff = np.abs(a_flow - naive_true)
+    # summed node by node in time order, so no value depends on the batch size
+    return {
+        "mse_price": np.add.accumulate(np.square(rec["alpha_hat_price"] - signal))[-1] / (n + 1),
+        "mse_flow": np.add.accumulate(np.square(a_flow - signal))[-1] / (n + 1),
+        "max_alt_naive_diff": np.fmax.reduce(diff[:max(n - 9, 0)], axis=0, initial=0.0),
+        "alt_naive_checkpoints": diff[[n // 4, n // 2, (3 * n) // 4, max(n - 10, 0)]],
+    }
 
 
 def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):

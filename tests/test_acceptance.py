@@ -48,15 +48,20 @@ def table2(params, grid1000, bundle):
 
 @pytest.fixture(scope="module")
 def flow_metrics(params, grid1000, bundle):
-    """1,000 default-parameter paths under the flow-based signal source,
-    with and without inventory mispecification."""
+    """Filter diagnostics of 1,000 default-parameter paths under the
+    flow-based signal source, with and without inventory mispecification,
+    recorded 250 paths at a time to bound the memory of the records."""
     tables = _Tables(params, params, bundle)
-    q0, eps = _draw_noise(555, range(1000), grid1000.steps)
-    clean, _ = _simulate_core(tables, bg.StrategyConfig(signal_source="flow"),
-                              eps, q0, record=False)
-    mis, _ = _simulate_core(tables,
-                            bg.StrategyConfig(signal_source="flow", mispecify_qi=True),
-                            eps, q0, record=False)
+    configs = (bg.StrategyConfig(signal_source="flow"),
+               bg.StrategyConfig(signal_source="flow", mispecify_qi=True))
+    parts = [[], []]
+    for lo in range(0, 1000, 250):
+        q0, eps = _draw_noise(555, range(lo, lo + 250), grid1000.steps)
+        for config, part in zip(configs, parts):
+            _, rec = _simulate_core(tables, config, eps, q0, record=True)
+            part.append(bg.filter_diagnostics(bundle.trader, rec))
+    clean, mis = ({key: np.concatenate([d[key] for d in part], axis=-1) for key in part[0]}
+                  for part in parts)
     return clean, mis
 
 

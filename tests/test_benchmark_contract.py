@@ -11,7 +11,11 @@ from pathlib import Path
 import brokergame as bg
 from brokergame.odes import DeterministicTable
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACING = BENCHMARKS / "tracing.py"
+# per-path metrics that benchmarks/workloads.py, tracing.py and the
+# experiment report read from each arm
+ARM_KEYS = ("blown", "max_inventory_gap", "max_cash_gap", "wealth_broker", "notional")
 
 
 def _tracing():
@@ -29,6 +33,20 @@ def test_every_traced_hook_target_exists():
 
 def test_table_call_is_counted_on_the_class():
     assert "__call__" in vars(DeterministicTable)
+
+
+def test_arm_metrics_keep_the_keys_the_benchmark_reads():
+    sources = (BENCHMARKS / "workloads.py").read_text() + TRACING.read_text()
+    assert all(f'"{key}"' in sources for key in ARM_KEYS)
+    params, grid = bg.DEFAULT_PARAMS, bg.TimeGrid(1.0, 50)
+    bundle = bg.build_coefficients(params, grid)
+    config = bg.StrategyConfig(signal_source="flow")
+    _, per_arm = bg.run_experiment(params, grid, config, 6, base_seed=3, bundle=bundle)
+    recorded, _ = bg.simulate_recorded(params, bundle, config, 4, 3)
+    assert sorted(per_arm) == ["benchmark1", "benchmark2", "benchmark3", "optimal"]
+    for metrics, paths in [(m, 6) for m in per_arm.values()] + [(recorded, 4)]:
+        for key in ARM_KEYS:
+            assert metrics[key].shape == (paths,), key
 
 
 def test_block_dev_is_a_finite_float():

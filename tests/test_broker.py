@@ -12,6 +12,14 @@ from brokergame.odes import StageLattice, rk4_integrate
 from oracles import reduced_broker_uvb, riccati_constant_solution
 
 
+def test_coarse_grid_blowup_names_the_broker_march():
+    # 10 steps are too coarse for the 4x4 march's substeps at the defaults;
+    # the error names that march and the grid step, not only the impact
+    with pytest.raises(bg.ExistenceError, match="'broker_g2'") as info:
+        bg.build_coefficients(bg.DEFAULT_PARAMS, bg.TimeGrid(1.0, 10))
+    assert "grid step" in str(info.value) and "permanent impact" in str(info.value)
+
+
 def test_price_variance_steady_state(params, grid1000, bundle):
     v_t = bundle.broker.var_alpha.at_index(grid1000.steps)
     target = (-10.0 + math.sqrt(104.0)) / 2.0

@@ -128,7 +128,7 @@ def test_build_marches_each_system_once(params, grid200, monkeypatch):
     for module in (bg.odes, bg.trader, bg.broker, bg.filters):
         monkeypatch.setattr(module, "rk4_integrate", spy)
     bg.build_coefficients(params, grid200)
-    assert names == ["var_nu", "g2", "z", "var_alpha", "g2", "g2_block", "g0", "var_alt"]
+    assert names == ["var_nu", "g2", "z", "var_alpha", "broker_g2", "g2_block", "g0", "var_alt"]
 
 
 def test_flow_coeffs_horizon_limits(params, bundle, grid1000):

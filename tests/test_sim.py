@@ -1,5 +1,6 @@
 import re
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,7 +383,74 @@ def test_run_experiment_independent_of_chunking(params, grid200, bundle200):
             assert per[arm].keys() == runs[0][arm].keys()
             for key, values in per[arm].items():
                 assert np.array_equal(values, runs[0][arm][key]), (arm, key)
-    assert runs[0]["optimal"]["alt_naive_checkpoints"].shape == (4, 30)
+    for arm in BROKER_MODES:
+        assert set(runs[0][arm]) == {"wealth_broker", "wealth_trader", "notional", "blown",
+                                     "blow_step", "max_inventory_gap", "max_cash_gap"}, arm
+
+
+@pytest.mark.parametrize("field, value", [("unwind_tail", 2.5), ("seed", 1.5),
+                                          ("unwind_tail", 3.0), ("seed", "7")])
+def test_non_integral_config_values_are_rejected(field, value):
+    # a typed error, not a TypeError from the tail slice or the seed's xor
+    with pytest.raises(bg.ValidationError, match=re.escape(f"{field} ({value!r})")):
+        bg.StrategyConfig(**{field: value})
+
+
+@pytest.mark.parametrize("steps", [8, 13, 20])
+def test_filter_diagnostics_of_a_hand_built_record(steps):
+    # belief loadings f1 = 2, f3 = 4 on interior nodes and 0 at the horizon;
+    # path j's true inventory is 1 + j and its flow estimate sits (-1)^k k (1 + j)
+    # off the naive readout x_k = k / 4, so the gap at node k is k (1 + j)
+    grid = bg.TimeGrid(1.0, steps)
+    interior = np.arange(steps + 1) < steps
+    trader = SimpleNamespace(f1=bg.DeterministicTable("f1", grid, 2.0 * interior),
+                             f3=bg.DeterministicTable("f3", grid, 4.0 * interior))
+    k = np.arange(steps + 1.0)[:, None]
+    scale = np.array([1.0, 2.0])
+    q = np.tile(scale, (steps + 1, 1))
+    a_flow = 0.25 * k + (-1.0) ** k * k * scale
+    signal = a_flow - 2.0
+    rec = {"signal": signal, "alpha_hat_price": signal + 3.0, "alpha_hat_flow": a_flow,
+           "rate_trader": 2.0 * (0.25 * k) + 4.0 * q, "q_trader": q}
+    with np.errstate(all="raise"):         # the horizon's zero f1 is never divided by
+        diag = bg.filter_diagnostics(trader, rec)
+    assert set(diag) == {"mse_price", "mse_flow", "max_alt_naive_diff",
+                         "alt_naive_checkpoints"}
+    assert np.array_equal(diag["mse_price"], [9.0, 9.0])
+    assert np.array_equal(diag["mse_flow"], [4.0, 4.0])
+    # the window is k <= steps - 10, empty on a grid under 10 steps
+    assert np.array_equal(diag["max_alt_naive_diff"], max(steps - 10, 0) * scale)
+    nodes = [steps // 4, steps // 2, (3 * steps) // 4, max(steps - 10, 0)]
+    assert np.array_equal(diag["alt_naive_checkpoints"], np.outer(nodes, scale))
+
+
+def test_filter_diagnostics_match_a_node_by_node_loop(params, bundle200):
+    # the node-by-node loop the step kernel once ran is the reference, bit for
+    # bit, on a batch of paths and on one path taken alone
+    tr, n, m = bundle200.trader, bundle200.trader.grid.steps, 5
+    config = bg.StrategyConfig(signal_source="flow", mispecify_qi=True)
+    _, rec = bg.simulate_recorded(params, bundle200, config, m, 8)
+    ref = {"mse_price": np.zeros(m), "mse_flow": np.zeros(m),
+           "max_alt_naive_diff": np.zeros(m), "alt_naive_checkpoints": np.zeros((4, m))}
+    check_idx = [n // 4, n // 2, (3 * n) // 4, n - 10]
+    for k in range(n + 1):
+        j = min(k, n - 1)
+        ref["mse_price"] += np.square(rec["alpha_hat_price"][k] - rec["signal"][k])
+        ref["mse_flow"] += np.square(rec["alpha_hat_flow"][k] - rec["signal"][k])
+        naive = rec["rate_trader"][k] - rec["q_trader"][k] * tr.f3.values[j]
+        naive *= 1.0 / tr.f1.values[j]
+        diff = np.abs(rec["alpha_hat_flow"][k] - naive)
+        if k <= n - 10:
+            ref["max_alt_naive_diff"] = np.fmax(ref["max_alt_naive_diff"], diff)
+        for i, node in enumerate(check_idx):
+            if node == k:
+                ref["alt_naive_checkpoints"][i] = diff
+    ref["mse_price"] /= n + 1
+    ref["mse_flow"] /= n + 1
+    for rows in (slice(None), slice(2, 3)):
+        diag = bg.filter_diagnostics(tr, {key: rec[key][:, rows] for key in bg.sim.RECORD_SERIES})
+        for key, value in ref.items():
+            assert np.array_equal(diag[key], value[..., rows]), (rows, key)
 
 
 def test_negative_seed_rejected(params, grid200, bundle200):
