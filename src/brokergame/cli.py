@@ -173,8 +173,10 @@ def cmd_path(cfg: RunConfig, n_band: int) -> int:
     result = simulate_path(cfg.params, bundle.trader, bundle.broker, bundle.flow,
                            cfg.strategy(), seed=cfg.seed)
     bands = None
+    n_blown = 0
     if n_band > 1:
-        _, rec = simulate_recorded(cfg.params, bundle, cfg.strategy(), n_band, cfg.seed)
+        metrics, rec = simulate_recorded(cfg.params, bundle, cfg.strategy(), n_band, cfg.seed)
+        n_blown = int(metrics["blown"].sum())
         bands = {}
         for name in RECORD_SERIES:
             bands[f"p05_{name}"] = np.percentile(rec[name], 5.0, axis=1)
@@ -183,10 +185,16 @@ def cmd_path(cfg: RunConfig, n_band: int) -> int:
     export_filter_csv(result, bundle.trader, bundle.broker, bundle.flow,
                       _outpath(cfg, "filters.csv"))
     print(f"wrote path.csv and filters.csv to {cfg.out_dir}")
+    if bands is not None:
+        print(f"blown band paths: {n_blown} of {n_band}")
+    # the series and bands are still written (flagged, not dropped)
     if result.blown:
-        # the series are still written (flagged, not dropped)
         raise SimulationBlowupError(
             f"path produced a non-finite state at step {result.blow_step}"
+        )
+    if n_blown:
+        raise SimulationBlowupError(
+            f"{n_blown} of {n_band} band paths produced a non-finite state"
         )
     return 0
 

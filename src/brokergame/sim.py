@@ -135,8 +135,9 @@ class PathResult:
     alpha_hat_flow: np.ndarray
     alpha_hat_naive: np.ndarray
     # (steps+1, 4) terms of the rate on q_broker, alpha_est, flow and
-    # q_trader_belief; benchmarks 1 and 3 also pass on rate_trader, which
-    # is not among them
+    # q_trader_belief, formed from those recorded series after the step
+    # loop; benchmarks 1 and 3 also pass on rate_trader, which is not among
+    # them
     components: np.ndarray
     wealth_broker: float             # cash + inventory marked at the last price
     wealth_trader: float
@@ -253,8 +254,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     """Advance a batch of paths under the config's broker rule.
 
     Returns (metrics, records): every metric is ``(paths,)``; records are
-    None unless ``record``, and then each series is ``(steps+1, paths)`` and
-    ``components`` ``(steps+1, 4, paths)``.
+    None unless ``record``, and then hold exactly the ``RECORD_SERIES``, each
+    ``(steps+1, paths)``.
     """
     p = tables.true
     grid = tables.grid
@@ -350,7 +351,6 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     rec = None
     if record:
         rec = {name: np.zeros((n_steps + 1, m)) for name in RECORD_SERIES}
-        rec["components"] = np.zeros((n_steps + 1, 4, m))
 
     eta = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
     a_naive = gamma = ztil = None
@@ -377,8 +377,6 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                            alpha_hat_naive=a_naive)
                 for name, value in now.items():
                     rec[name][k] = value
-                for j in range(4):
-                    rec["components"][k, j] = rule[j, k] * y[j]
 
             np.abs(nu, out=traded)
             traded += np.abs(eta, out=temp)
@@ -507,13 +505,24 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
     series = {name: rec[name][:, 0].copy() for name in RECORD_SERIES}
     scalars = {key: value[0].item() for key, value in metrics.items()}
+    # the rate's terms: each rule column times the state it reads, node by node
+    state = np.stack([series["q_broker"], series[f"alpha_hat_{config.signal_source}"],
+                      series["flow"], series["q_trader_belief"]], axis=1)
+    components = _broker_rule(tables, config)[:, :4] * state
     return PathResult(grid=trader.grid, config=config, seed=use_seed, t=trader.grid.times,
-                      components=rec["components"][:, :, 0].copy(), **scalars, **series)
+                      components=components, **scalars, **series)
 
 
 def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
                       config: StrategyConfig, n_paths: int, base_seed: int):
-    """Record full series for a (small) batch of paths; returns (metrics, records)."""
+    """Record full series for a (small) batch of paths; returns (metrics, records).
+
+    The records hold exactly the ``RECORD_SERIES``, each ``(steps+1,
+    n_paths)``; the rate's components are not stored (``simulate_path``
+    derives them for its one path).
+    """
+    if n_paths < 1:
+        raise ValidationError(f"n_paths ({n_paths}) must be >= 1")
     tables = _Tables(params, params, bundle)
     q0, eps = _draw_noise(base_seed, range(n_paths), bundle.trader.grid.steps)
     return _simulate_core(tables, config, eps, q0, record=True)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from brokergame import cli
 from brokergame.cli import main
 
 
@@ -125,6 +126,31 @@ def test_path_band_mode(tmp_path):
     header = _read(out / "path.csv").decode().split("\n")[0].split(",")
     assert "p05_price" in header and "p95_price" in header
     assert "p05_q_broker" in header and "p95_q_broker" in header
+
+
+def test_path_bands_count_blown_paths(tmp_path, small_ini, capsys, monkeypatch):
+    # a blown band path is counted and fails the run with exit 3 after the
+    # CSVs are written, like a blown single path; it is not a silent NaN band
+    out = tmp_path / "out"
+    assert main(["--config", small_ini, "--out-dir", str(out), "--paths", "6", "path"]) == 0
+    assert "blown band paths: 0 of 6" in capsys.readouterr().out
+    real = cli.simulate_recorded
+
+    def blown_batch(*args):
+        metrics, rec = real(*args)
+        metrics["blown"][[1, 4]] = True
+        for series in rec.values():
+            series[60:, [1, 4]] = np.nan
+        return metrics, rec
+
+    monkeypatch.setattr(cli, "simulate_recorded", blown_batch)
+    (out / "path.csv").unlink()
+    (out / "filters.csv").unlink()
+    assert main(["--config", small_ini, "--out-dir", str(out), "--paths", "6", "path"]) == 3
+    captured = capsys.readouterr()
+    assert "blown band paths: 2 of 6" in captured.out
+    assert "2 of 6 band paths produced a non-finite state" in captured.err
+    assert (out / "path.csv").is_file() and (out / "filters.csv").is_file()
 
 
 def test_path_components_sum(tmp_path, small_ini):

@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -279,6 +280,62 @@ def test_components_sum_to_rate(bundle, params):
     res = bg.simulate_path(params, bundle.trader, bundle.broker, bundle.flow,
                            bg.StrategyConfig(), seed=21)
     assert np.abs(res.components.sum(axis=1) - res.rate_broker).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def bundles50():
+    """Coefficient tables on a 50-step grid, without and with correlated noise."""
+    grid = bg.TimeGrid(1.0, 50)
+    return {rho: bg.build_coefficients(bg.DEFAULT_PARAMS.replace(rho=rho), grid)
+            for rho in (0.0, 0.3)}
+
+
+@pytest.mark.parametrize("mode", BROKER_MODES)
+@pytest.mark.parametrize("source", ["price", "flow", "naive"])
+def test_components_are_rule_times_recorded_state(bundles50, mode, source):
+    # each term is the rule's column times the state it reads, node by node,
+    # bit for bit; the mispecified flow and naive runs of the optimal arm end
+    # on the unwind tail, and rho != 0 moves every series
+    for rho, mispecify in ((0.0, False), (0.0, True), (0.3, True)):
+        params, bundle = bg.DEFAULT_PARAMS.replace(rho=rho), bundles50[rho]
+        config = bg.StrategyConfig(broker_mode=mode, signal_source=source,
+                                   mispecify_qi=mispecify)
+        res = bg.simulate_path(params, bundle.trader, bundle.broker, bundle.flow,
+                               config, seed=31)
+        rule = _broker_rule(_Tables(params, params, bundle), config)
+        states = (res.q_broker, getattr(res, f"alpha_hat_{source}"), res.flow,
+                  res.q_trader_belief)
+        expect = np.empty((bundle.trader.grid.steps + 1, 4))
+        for k in range(expect.shape[0]):
+            for j, y in enumerate(states):
+                expect[k, j] = rule[k, j] * y[k]
+        assert res.components.tobytes() == expect.tobytes(), (rho, mispecify)
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_simulate_recorded_rejects_empty_batches(params, bundle200, n_paths):
+    with pytest.raises(bg.ValidationError, match=re.escape(f"n_paths ({n_paths}) must be >= 1")):
+        bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), n_paths, 5)
+
+
+def test_recorded_batch_stores_only_the_record_series(params, bundles50):
+    # the peak allocation of a recorded batch is its record plus the noise
+    # buffer and a few (paths,) temporaries; a (steps+1, 4, paths) block
+    # more, such as the rate's components, breaks the bound
+    bundle, steps, m = bundles50[0.0], 50, 400
+    record_bytes = len(bg.sim.RECORD_SERIES) * (steps + 1) * m * 8
+    noise_bytes = steps * 3 * m * 8
+    slack = 320_000                        # under the 4-column block's 652,800 bytes
+    assert slack < 4 * (steps + 1) * m * 8
+    bg.simulate_recorded(params, bundle, bg.StrategyConfig(), 2, 5)   # lazy imports
+    tracemalloc.start()
+    try:
+        _, rec = bg.simulate_recorded(params, bundle, bg.StrategyConfig(), m, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(rec) == set(bg.sim.RECORD_SERIES)
+    assert peak < record_bytes + noise_bytes + slack, peak
 
 
 def test_path_seed_matches_experiment_indexing(bundle, params):
