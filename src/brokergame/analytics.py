@@ -320,7 +320,9 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     the base cell's four arms plus every stressed cell's optimal arm on it.
     A cell's report reuses the base cell's benchmark arms: their rules read
     only the broker's inventory, the client flows and the true trader, none
-    of which the stress touches.  ``threads`` is accepted and ignored until
+    of which the stress touches.  The flow filter's tables are built only
+    when ``config.signal_source`` is ``"flow"``; no other cell reads them.
+    ``threads`` is accepted and ignored until
     ROADMAP item 4's benchmark change removes it from the workloads.
     """
     from .sim import BROKER_MODES, _run_jobs, _Tables, build_coefficients  # deferred: cycle
@@ -331,14 +333,15 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
                 f"can only stress learning parameters {LEARNING_PARAMS}, got {name!r}"
             )
     seed = config.seed if base_seed is None else int(base_seed)
-    base = build_coefficients(params, grid)
+    with_flow = config.signal_source == "flow"
+    base = build_coefficients(params, grid, with_flow)
     base_tables = _Tables(params, params, base)
     jobs = [(base_tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
     cells = [(name, float(mult), params.replace(**{name: getattr(params, name) * float(mult)}))
              for name, multipliers in sweep.items() for mult in multipliers]
     optimal = replace(config, broker_mode="optimal")
     for _, _, stressed in cells:
-        bundle = build_coefficients(stressed, grid)
+        bundle = build_coefficients(stressed, grid, with_flow)
         jobs.append((_Tables(params, stressed, bundle, trader_true=base.trader), optimal))
     results = _run_jobs(jobs, seed, grid.steps, n_paths, chunk_size)
 

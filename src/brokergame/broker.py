@@ -74,8 +74,11 @@ def solve_price_filter_variance(params: ModelParams, grid: TimeGrid) -> Determin
 def _stacked(shape, *entries):
     """Numbers and equally shaped arrays broadcast against each other and laid
     out row-major in trailing axes of ``shape``."""
-    flat = np.broadcast_arrays(*entries)
-    return np.stack(flat, axis=-1).reshape(flat[0].shape + shape)
+    lead = np.broadcast_shapes(*(np.shape(e) for e in entries))
+    out = np.empty(lead + (len(entries),))
+    for j, e in enumerate(entries):
+        out[..., j] = e
+    return out.reshape(lead + shape)
 
 
 def _transpose(m):
@@ -153,11 +156,14 @@ def _march(params: ModelParams, trader: TraderCoefficients, var_alpha: Determini
         s, w, p9 = _riccati_terms(
             *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
             params, states)
+    # per-stage lists index faster than arrays; -(S + A + L + L^T) equals
+    # -S - A - L - L^T exactly, since rounding is symmetric in sign
+    neg_s, w, p9 = list(-s), list(w), list(p9)
 
     def rhs(i, g):
-        gw = g @ w[i]
-        lin = g @ p9[i]
-        return -(s[i] + gw[:, None] * gw + lin + lin.T)
+        gw = g.dot(w[i])
+        lin = g.dot(p9[i])
+        return neg_s[i] - gw[:, None] * gw - lin - lin.T
 
     return rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name=name)
 
@@ -204,6 +210,7 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
         flow_var = np.float64(params.sigma_flow) ** 2   # saturates to inf, never raises
         source = -(gain_sqs * g2s[:, 1, 1] + flow_var * g2s[:, 2, 2])
 
+    source = source.tolist()
     g0 = rk4_integrate(lambda i, y: source[i], 0.0, nodes, name="g0")
 
     gains = _feedback_gain_table(params, trader, var_alpha, g2)

@@ -169,6 +169,8 @@ def cmd_diag(cfg: RunConfig) -> int:
 
 
 def cmd_path(cfg: RunConfig, n_band: int) -> int:
+    if n_band < 1:
+        raise ValidationError(f"--paths ({n_band}) must be >= 1")
     bundle = build_coefficients(cfg.params, cfg.grid)
     result = simulate_path(cfg.params, bundle.trader, bundle.broker, bundle.flow,
                            cfg.strategy(), seed=cfg.seed)

@@ -174,6 +174,7 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
         source = sa * sa * tbl("mix_gap", mix_gap)(forward.times)
         decay = 2.0 * ka + 2.0 * sa * noise_mix(forward.times) * g7s
         g7sq = g7s * g7s
+    source, decay, g7sq = source.tolist(), decay.tolist(), g7sq.tolist()
 
     def var_rhs(i, v):
         return source[i] - v * (decay[i] + g7sq[i] * v)

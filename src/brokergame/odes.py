@@ -10,11 +10,17 @@ lattice, not a time.  A solver evaluates each tabulated input once per solve,
 by linear interpolation at the lattice times, and its right-hand side reads
 entry ``i`` of that array.  The linear interpolation makes the solved tables
 second order in ``dt``, not fourth.
+
+A scalar state is marched as a Python float, which rounds as float64 does
+at a fraction of a numpy scalar's cost per operation; a scalar right-hand
+side should read its inputs from lists (one ``array.tolist()`` per solve),
+not from arrays.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +180,10 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
     lattice starts from ``boundary_value`` at t=0; a backward one stores
     ``boundary_value`` at t=horizon and marches toward t=0 (rhs is the
     ordinary time derivative in both cases; the step is just negated).  A
-    scalar state is carried as a float, anything else as an ndarray.
+    scalar state is carried as a Python float, anything else as an ndarray.
+    A scalar ``rhs`` should compute in floats (inputs read from lists, not
+    from arrays) and avoid ``**``: float arithmetic overflows to inf, which
+    the blow-up check below catches, but ``**`` raises ``OverflowError``.
 
     ``project`` is an optional map applied to the state after every grid step
     (used e.g. to re-symmetrise matrix solutions).  Values are stored at the
@@ -186,7 +195,8 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
     if not np.all(np.isfinite(y)):
         raise ValidationError(f"boundary value for '{name}' is not finite")
     out = np.empty((grid.steps + 1,) + y.shape, dtype=float)
-    if y.ndim == 0:
+    scalar = y.ndim == 0
+    if scalar:
         y = float(y)
     start, step = (0, 1) if lattice.direction == "forward" else (grid.steps, -1)
     sub = step * grid.dt / substeps
@@ -198,7 +208,7 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
                 y = _rk4_step(rhs, 2 * (substeps * k + step * j), step, y, sub)
             if project is not None:
                 y = project(y)
-            if not np.isfinite(y).all():
+            if not (math.isfinite(y) if scalar else np.isfinite(y).all()):
                 raise IntegrationBlowupError(
                     f"'{name}' produced a non-finite value at t={grid.times[k + step]:.10g}"
                 )
@@ -223,7 +233,7 @@ def solve_scalar_riccati(quad, lin, const, boundary: float, lattice: StageLattic
     once, on the stage lattice.
     """
     sign = 1.0 if lattice.direction == "forward" else -1.0
-    q, l, c = (sign * _on_lattice(x, lattice) for x in (quad, lin, const))
+    q, l, c = ((sign * _on_lattice(x, lattice)).tolist() for x in (quad, lin, const))
 
     def rhs(i, y):
         return c[i] + l[i] * y + q[i] * y * y

@@ -521,6 +521,8 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
     n_paths)``; the rate's components are not stored (``simulate_path``
     derives them for its one path).
     """
+    if not isinstance(n_paths, (int, np.integer)):
+        raise ValidationError(f"n_paths ({n_paths!r}) must be an integer")
     if n_paths < 1:
         raise ValidationError(f"n_paths ({n_paths}) must be >= 1")
     tables = _Tables(params, params, bundle)
@@ -565,6 +567,9 @@ def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):
     calling thread.  Returns one metrics dict per job, in job order, with
     the chunks concatenated in path order.
     """
+    if not all(isinstance(v, (int, np.integer)) for v in (n_paths, chunk_size)):
+        raise ValidationError(f"n_paths ({n_paths!r}) and chunk_size ({chunk_size!r}) "
+                              "must be integers")
     if n_paths < 1 or chunk_size < 1:
         raise ValidationError(f"n_paths ({n_paths}) and chunk_size ({chunk_size}) must be >= 1")
 

@@ -153,9 +153,10 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
                  else np.zeros_like(v))
         rv = ratio * v
         rv2 = rv * rv
+    g2s, cross, rv2 = g2s.tolist(), cross.tolist(), rv2.tolist()
 
     def rhs(i, z):
-        z1, u, z3, z4, z5, z6, z7, z8 = z
+        z1, u, z3, z4, z5, z6, z7, z8 = z.tolist()
         z2 = p * u
         g = g2s[i]
         return np.array([

@@ -315,6 +315,19 @@ def test_stress_runner_shares_noise_and_true_trader(params, monkeypatch):
     assert seen["arms"] == 3 * (list(BROKER_MODES) + ["optimal"] * 8)
 
 
+@pytest.mark.parametrize("source, builds", [("price", 0), ("naive", 0), ("flow", 9)])
+def test_stress_runner_builds_flow_tables_only_for_flow_cells(params, monkeypatch,
+                                                              source, builds):
+    calls = []
+    real = sim.flow_filter_coefficients
+    monkeypatch.setattr(sim, "flow_filter_coefficients",
+                        lambda *args: calls.append(1) or real(*args))
+    sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
+    bg.stress_runner(params, sweep, bg.TimeGrid(1.0, 50),
+                     bg.StrategyConfig(signal_source=source), 5, base_seed=23)
+    assert len(calls) == builds
+
+
 def test_package_imports_and_runs_without_scipy(tmp_path):
     # the package needs numpy alone: a finder that refuses every scipy module
     # stands in for an environment without scipy

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import brokergame as bg
-from brokergame.broker import (_p9, _p_matrices, _riccati_terms, export_broker_csv,
-                               solve_price_filter_variance)
+from brokergame.broker import (_p9, _p_matrices, _riccati_terms, _stacked,
+                               export_broker_csv, solve_price_filter_variance)
 from brokergame.odes import StageLattice, rk4_integrate
 
 from oracles import reduced_broker_uvb, riccati_constant_solution
@@ -18,6 +18,19 @@ def test_coarse_grid_blowup_names_the_broker_march():
     with pytest.raises(bg.ExistenceError, match="'broker_g2'") as info:
         bg.build_coefficients(bg.DEFAULT_PARAMS, bg.TimeGrid(1.0, 10))
     assert "grid step" in str(info.value) and "permanent impact" in str(info.value)
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+def test_stacked_matches_broadcast_stack(lead):
+    # mixed numbers (an int among them) and equally shaped arrays, laid out
+    # row-major in the trailing axes, byte for byte as np.stack lays them out
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal(lead), rng.standard_normal(lead)
+    entries = (0, a, -1.5, b, a * b, 2.0)
+    expect = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(lead + (2, 3))
+    got = _stacked((2, 3), *entries)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_price_variance_steady_state(params, grid1000, bundle):

@@ -153,6 +153,26 @@ def test_path_bands_count_blown_paths(tmp_path, small_ini, capsys, monkeypatch):
     assert (out / "path.csv").is_file() and (out / "filters.csv").is_file()
 
 
+@pytest.mark.parametrize("paths", ["0", "-3"])
+def test_path_rejects_band_counts_below_one(tmp_path, capsys, paths):
+    # as experiment does: no band count below 1 passes for "no bands"
+    ini = _write(tmp_path / "band.ini", "[grid]\nsteps = 50\n")
+    out = tmp_path / "out"
+    assert main(["--config", ini, "--out-dir", str(out), "--paths", paths, "path"]) == 2
+    assert f"--paths ({paths}) must be >= 1" in capsys.readouterr().err
+    assert not (out / "path.csv").exists()
+
+
+def test_path_one_band_path_is_a_single_path(tmp_path, capsys):
+    ini = _write(tmp_path / "band.ini", "[grid]\nsteps = 50\n")
+    one, plain = tmp_path / "one", tmp_path / "plain"
+    assert main(["--config", ini, "--out-dir", str(one), "--paths", "1", "path"]) == 0
+    assert "blown band paths" not in capsys.readouterr().out
+    assert main(["--config", ini, "--out-dir", str(plain), "path"]) == 0
+    assert _read(one / "path.csv") == _read(plain / "path.csv")
+    assert "p05_price" not in _read(one / "path.csv").decode().split("\n")[0]
+
+
 def test_path_components_sum(tmp_path, small_ini):
     out = tmp_path / "out"
     assert main(["--config", small_ini, "--out-dir", str(out), "path"]) == 0

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,40 @@ def test_rk4_blowup_names_time():
     g = bg.TimeGrid(1.0, 100)
     with pytest.raises(IntegrationBlowupError, match="t="):
         bg.rk4_integrate(lambda i, y: y * y, np.asarray(3.0), StageLattice(g))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("substeps", [1, 4])
+def test_scalar_riccati_float_march_equals_array_march(direction, substeps):
+    # a scalar state is marched as a Python float, which rounds as numpy
+    # does: the same Riccati on a shape-(1,) array state gives the same bytes
+    g = bg.TimeGrid(1.0, 120)
+    lattice = StageLattice(g, substeps=substeps, direction=direction)
+    quad = bg.DeterministicTable("quad", g, -0.7 - 0.2 * np.cos(5.0 * g.times))
+    const = bg.DeterministicTable("const", g, 1.0 + 0.5 * np.sin(3.0 * g.times))
+    lin, y0 = -1.9, 0.3
+    tab = bg.solve_scalar_riccati(quad, lin, const, y0, lattice)
+    sign = 1.0 if direction == "forward" else -1.0
+    q, c = sign * quad(lattice.times), sign * const(lattice.times)
+    l = sign * np.full(lattice.times.shape, lin)
+    ref = bg.rk4_integrate(lambda i, y: c[i] + l[i] * y + q[i] * y * y, np.array([y0]),
+                           lattice)
+    assert tab.values.shape == (g.steps + 1,)
+    assert tab.values.tobytes() == ref.values[:, 0].tobytes()
+
+
+def test_float_march_blowup_raises_the_typed_error():
+    # Python floats overflow to inf without a warning or an OverflowError;
+    # the march still stops at the first non-finite grid node and names it
+    g = bg.TimeGrid(1.0, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationBlowupError, match="'pole' produced") as info:
+            bg.solve_scalar_riccati(1.0, 0.0, 0.0, 3.0, StageLattice(g, substeps=4),
+                                    name="pole")
+    # y' = y^2 from y(0) = 3 has its pole at t = 1/3
+    t = float(str(info.value).split("t=")[1])
+    assert 1.0 / 3.0 < t < 0.5
 
 
 def test_riccati_steady_state():

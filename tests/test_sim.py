@@ -318,6 +318,24 @@ def test_simulate_recorded_rejects_empty_batches(params, bundle200, n_paths):
         bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), n_paths, 5)
 
 
+@pytest.mark.parametrize("n_paths, chunk_size", [(2.5, 16), (3, 2.5)])
+def test_runs_reject_non_integral_counts(params, grid200, bundle200, n_paths, chunk_size):
+    # a float count is a ValidationError, not range()'s bare TypeError
+    with pytest.raises(bg.ValidationError, match="must be integers"):
+        bg.run_experiment(params, grid200, bg.StrategyConfig(), n_paths, base_seed=5,
+                          bundle=bundle200, chunk_size=chunk_size)
+    with pytest.raises(bg.ValidationError, match="must be integers"):
+        bg.stress_runner(params, {"kappa_signal": [0.5]}, grid200, bg.StrategyConfig(),
+                         n_paths, base_seed=5, chunk_size=chunk_size)
+
+
+def test_simulate_recorded_rejects_non_integral_counts(params, bundle200):
+    with pytest.raises(bg.ValidationError, match=re.escape("n_paths (2.5) must be an integer")):
+        bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), 2.5, 5)
+    metrics, _ = bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), np.int64(2), 5)
+    assert metrics["wealth_broker"].shape == (2,)
+
+
 def test_recorded_batch_stores_only_the_record_series(params, bundles50):
     # the peak allocation of a recorded batch is its record plus the noise
     # buffer and a few (paths,) temporaries; a (steps+1, 4, paths) block
