@@ -252,28 +252,11 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
 
 
 def _report_doc(report: ExperimentReport) -> dict:
-    return {
-        "schema": report.schema,
-        "mode": report.mode,
-        "mispecify_qi": report.mispecify_qi,
-        "c_belief": report.c_belief,
-        "n_paths": report.n_paths,
-        "base_seed": report.base_seed,
-        "params_digest": report.params_digest,
-        "model_params_digest": report.model_params_digest,
-        "benchmarks": {
-            str(i): {
-                "mean": b.mean, "std": b.std, "t_stat": b.t_stat,
-                "p_value": b.p_value, "n_effective": b.n_effective,
-                "n_excluded": b.n_excluded, "flagged": b.flagged,
-            } for i, b in sorted(report.benchmarks.items())
-        },
-        "raw_performance": {
-            arm: {"mean": v[0], "std": v[1], "flagged": v[2]}
-            for arm, v in sorted(report.raw_performance.items())
-        },
-        "blown_paths": dict(sorted(report.blown_paths.items())),
-    }
+    # the fields themselves: asdict's deep copy raised the stress sweep's peak RSS
+    raw = {arm: dict(zip(("mean", "std", "flagged"), v))
+           for arm, v in report.raw_performance.items()}
+    return {**vars(report), "benchmarks": {i: vars(b) for i, b in report.benchmarks.items()},
+            "raw_performance": raw}
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -322,17 +305,20 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     only the broker's inventory, the client flows and the true trader, none
     of which the stress touches.  The flow filter's tables are built only
     when ``config.signal_source`` is ``"flow"``; no other cell reads them.
-    ``threads`` is accepted and ignored until
+    ``base_seed`` replaces ``config.seed``.  ``threads`` is accepted and ignored until
     ROADMAP item 4's benchmark change removes it from the workloads.
     """
-    from .sim import BROKER_MODES, _run_jobs, _Tables, build_coefficients  # deferred: cycle
+    from .sim import (BROKER_MODES, _check_counts, _run_jobs, _Tables,  # deferred: cycle
+                      build_coefficients)
 
     for name in sweep:
         if name not in LEARNING_PARAMS:
             raise ValidationError(
                 f"can only stress learning parameters {LEARNING_PARAMS}, got {name!r}"
             )
-    seed = config.seed if base_seed is None else int(base_seed)
+    if base_seed is not None:
+        config = replace(config, seed=base_seed)
+    _check_counts(n_paths=n_paths, chunk_size=chunk_size)
     with_flow = config.signal_source == "flow"
     base = build_coefficients(params, grid, with_flow)
     base_tables = _Tables(params, params, base)
@@ -343,12 +329,12 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     for _, _, stressed in cells:
         bundle = build_coefficients(stressed, grid, with_flow)
         jobs.append((_Tables(params, stressed, bundle, trader_true=base.trader), optimal))
-    results = _run_jobs(jobs, seed, grid.steps, n_paths, chunk_size)
+    results = _run_jobs(jobs, config.seed, grid.steps, n_paths, chunk_size)
 
     base_arms = dict(zip(BROKER_MODES, results))
     report = lambda per_arm, model: build_experiment_report(
         per_arm, params=params, model_params=model, config=config, n_paths=n_paths,
-        base_seed=seed)
+        base_seed=config.seed)
     return StressReport(
         base=report(base_arms, params),
         cells=tuple(StressCell(name, mult, report({**base_arms, "optimal": arms}, stressed))
@@ -356,14 +342,8 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
 
 
 def stress_to_json(sr: StressReport) -> str:
-    doc = {
-        "schema": "brokergame.stress/1",
-        "base": _report_doc(sr.base),
-        "cells": [
-            {"param": c.param, "multiplier": c.multiplier, "report": _report_doc(c.report)}
-            for c in sr.cells
-        ],
-    }
+    doc = {"schema": "brokergame.stress/1", "base": _report_doc(sr.base),
+           "cells": [{**vars(c), "report": _report_doc(c.report)} for c in sr.cells]}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

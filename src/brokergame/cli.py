@@ -9,8 +9,9 @@ Subcommands::
     stress      +/-50% sweep of the agents' learning parameters
 
 Configuration is an INI file whose defaults reproduce the baseline
-experiment; any unknown section or key is rejected.  Exit codes: 0 success,
-2 validation error, 3 numerical failure.
+experiment; any unknown section or key is rejected, and every value and
+flag is checked before a command runs.  Exit codes: 0 success, 2 validation
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,104 +33,67 @@ from .sim import (RECORD_SERIES, StrategyConfig, build_coefficients, export_filt
                   export_path_csv, run_experiment, simulate_path, simulate_recorded)
 from .trader import export_trader_csv
 
-_GRID_KEYS = {"horizon": float, "steps": int}
-_STRATEGY_KEYS = {"signal_source": str, "mispecify_qi": str, "unwind_tail": int}
-_EXPERIMENT_KEYS = {"paths": int, "seed": int, "chunk": int}
-_OUTPUT_KEYS = {"out_dir": str}
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on", "normal"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"cannot parse boolean from {raw!r}")
+
+
+# section -> key -> (the part of RunConfig it sets, caster)
+_KEYS = {
+    "grid": {"horizon": ("grid", float), "steps": ("grid", int)},
+    "model": {f.name: ("params", float) for f in dataclasses.fields(ModelParams)},
+    "strategy": {"signal_source": ("strategy", str), "mispecify_qi": ("strategy", _parse_bool),
+                 "unwind_tail": ("strategy", int)},
+    "experiment": {"paths": ("run", int), "seed": ("strategy", int), "chunk": ("run", int)},
+    "output": {"out_dir": ("run", str)},
+}
+# flag -> the (section, key) it overrides
+_FLAGS = {"seed": ("experiment", "seed"), "paths": ("experiment", "paths"),
+          "mode": ("strategy", "signal_source"), "mispecify_qi": ("strategy", "mispecify_qi"),
+          "c_belief": ("model", "c_belief"), "out_dir": ("output", "out_dir")}
 
 
 @dataclasses.dataclass
 class RunConfig:
     params: ModelParams = ModelParams()
     grid: TimeGrid = TimeGrid()
-    signal_source: str = "price"
-    mispecify_qi: bool = False
-    unwind_tail: int = 10
+    strategy: StrategyConfig = StrategyConfig()
     paths: int = 10000
-    seed: int = 1729
     chunk: int = 2500
     out_dir: str = "."
 
-    def strategy(self, broker_mode: str = "optimal") -> StrategyConfig:
-        return StrategyConfig(
-            broker_mode=broker_mode, signal_source=self.signal_source,
-            mispecify_qi=self.mispecify_qi, seed=self.seed,
-            unwind_tail=self.unwind_tail,
-        )
 
+def _load_config(args) -> RunConfig:
+    """Read the INI file named by ``--config`` and the flags over it.
 
-def _parse_bool(raw: str, field: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on", "normal"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"field '{field}': cannot parse boolean from {raw!r}")
-
-
-def load_config(path: str | None) -> RunConfig:
-    """Read the INI configuration; unknown sections or keys are errors."""
-    cfg = RunConfig()
-    if path is None:
-        return cfg
+    Unknown sections or keys are errors, and every value, from the file or
+    a flag, is checked here, whatever the command.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValidationError(f"config file not found: {path}")
-    model_fields = {f.name: float for f in dataclasses.fields(ModelParams)}
-    known = {"grid": _GRID_KEYS, "model": model_fields, "strategy": _STRATEGY_KEYS,
-             "experiment": _EXPERIMENT_KEYS, "output": _OUTPUT_KEYS}
+    if args.config is not None and not parser.read(args.config):
+        raise ValidationError(f"config file not found: {args.config}")
+    parts = {"params": {}, "grid": {}, "strategy": {}, "run": {}}
     for section in parser.sections():
-        if section not in known:
+        if section not in _KEYS:
             raise ValidationError(f"unknown config section '{section}'")
-        for key in parser[section]:
-            if key not in known[section]:
+        for key, raw in parser[section].items():
+            if key not in _KEYS[section]:
                 raise ValidationError(f"unknown key '{key}' in section [{section}]")
-
-    def section_kwargs(name):
-        out = {}
-        if parser.has_section(name):
-            for key, raw in parser[name].items():
-                caster = known[name][key]
-                try:
-                    out[key] = caster(raw)
-                except ValueError as exc:
-                    raise ValidationError(f"field '{name}.{key}': {exc}") from exc
-        return out
-
-    cfg.params = ModelParams(**section_kwargs("model"))
-    gkw = section_kwargs("grid")
-    cfg.grid = TimeGrid(gkw.get("horizon", 1.0), gkw.get("steps", 1000))
-    skw = section_kwargs("strategy")
-    if "signal_source" in skw:
-        cfg.signal_source = skw["signal_source"]
-    if "mispecify_qi" in skw:
-        cfg.mispecify_qi = _parse_bool(skw["mispecify_qi"], "strategy.mispecify_qi")
-    if "unwind_tail" in skw:
-        cfg.unwind_tail = skw["unwind_tail"]
-    ekw = section_kwargs("experiment")
-    cfg.paths = ekw.get("paths", cfg.paths)
-    cfg.seed = ekw.get("seed", cfg.seed)
-    cfg.chunk = ekw.get("chunk", cfg.chunk)
-    okw = section_kwargs("output")
-    cfg.out_dir = okw.get("out_dir", cfg.out_dir)
-    return cfg
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "paths", None) is not None:
-        cfg.paths = args.paths
-    if getattr(args, "mode", None) is not None:
-        cfg.signal_source = args.mode
-    if getattr(args, "mispecify_qi", False):
-        cfg.mispecify_qi = True
-    if getattr(args, "c_belief", None) is not None:
-        cfg.params = cfg.params.replace(c_belief=args.c_belief)
-    if getattr(args, "out_dir", None) is not None:
-        cfg.out_dir = args.out_dir
-    return cfg
+            part, caster = _KEYS[section][key]
+            try:
+                parts[part][key] = caster(raw)
+            except ValueError as exc:
+                raise ValidationError(f"field '{section}.{key}': {exc}") from exc
+    for flag, (section, key) in _FLAGS.items():
+        if getattr(args, flag) is not None:
+            parts[_KEYS[section][key][0]][key] = getattr(args, flag)
+    return RunConfig(params=ModelParams(**parts["params"]), grid=TimeGrid(**parts["grid"]),
+                     strategy=StrategyConfig(**parts["strategy"]), **parts["run"])
 
 
 def _outpath(cfg: RunConfig, name: str) -> str:
@@ -173,11 +137,12 @@ def cmd_path(cfg: RunConfig, n_band: int) -> int:
         raise ValidationError(f"--paths ({n_band}) must be >= 1")
     bundle = build_coefficients(cfg.params, cfg.grid)
     result = simulate_path(cfg.params, bundle.trader, bundle.broker, bundle.flow,
-                           cfg.strategy(), seed=cfg.seed)
+                           cfg.strategy)
     bands = None
     n_blown = 0
     if n_band > 1:
-        metrics, rec = simulate_recorded(cfg.params, bundle, cfg.strategy(), n_band, cfg.seed)
+        metrics, rec = simulate_recorded(cfg.params, bundle, cfg.strategy, n_band,
+                                         cfg.strategy.seed)
         n_blown = int(metrics["blown"].sum())
         bands = {}
         for name in RECORD_SERIES:
@@ -202,8 +167,8 @@ def cmd_path(cfg: RunConfig, n_band: int) -> int:
 
 
 def cmd_experiment(cfg: RunConfig, benchmarks: str) -> int:
-    report, _ = run_experiment(cfg.params, cfg.grid, cfg.strategy(), cfg.paths,
-                               base_seed=cfg.seed, chunk_size=cfg.chunk)
+    report, _ = run_experiment(cfg.params, cfg.grid, cfg.strategy, cfg.paths,
+                               chunk_size=cfg.chunk)
     if benchmarks != "all":
         keep = {int(benchmarks)}
         report = dataclasses.replace(
@@ -220,8 +185,8 @@ def cmd_experiment(cfg: RunConfig, benchmarks: str) -> int:
 
 def cmd_stress(cfg: RunConfig) -> int:
     sweep = {name: [0.5, 1.5] for name in analytics.LEARNING_PARAMS}
-    sr = analytics.stress_runner(cfg.params, sweep, cfg.grid, cfg.strategy(),
-                                 cfg.paths, base_seed=cfg.seed, chunk_size=cfg.chunk)
+    sr = analytics.stress_runner(cfg.params, sweep, cfg.grid, cfg.strategy, cfg.paths,
+                                 chunk_size=cfg.chunk)
     with open(_outpath(cfg, "stress.json"), "w", encoding="ascii") as fh:
         fh.write(analytics.stress_to_json(sr) + "\n")
     analytics.stress_to_csv(sr, _outpath(cfg, "stress.csv"))
@@ -240,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--mode", choices=("price", "flow", "naive"),
                     help="broker's signal source")
     ap.add_argument("--benchmark", choices=("1", "2", "3", "all"), default="all")
-    ap.add_argument("--mispecify-qi", dest="mispecify_qi", action="store_true",
+    ap.add_argument("--mispecify-qi", dest="mispecify_qi", action="store_true", default=None,
                     help="draw the trader's true initial inventory from N(0,1)")
     ap.add_argument("--c-belief", dest="c_belief", type=float,
                     help="the broker's belief in her own influence (sets [model] c_belief)")
@@ -252,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _load_config(args)
         if args.command == "coeffs":
             return cmd_coeffs(cfg)
         if args.command == "diag":
@@ -261,9 +226,7 @@ def main(argv=None) -> int:
             return cmd_path(cfg, n_band=cfg.paths if args.paths is not None else 1)
         if args.command == "experiment":
             return cmd_experiment(cfg, args.benchmark)
-        if args.command == "stress":
-            return cmd_stress(cfg)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return cmd_stress(cfg)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

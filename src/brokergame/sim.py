@@ -67,6 +67,21 @@ INIT_STATES = (
 NOISE_BLOCK = 32                   # paths per block of the noise draw
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_counts(**counts) -> None:
+    """Each count (``n_paths``, ``chunk_size``) must be an integer >= 1."""
+    if not all(map(_is_integer, counts.values())):
+        names = " and ".join(f"{key} ({value!r})" for key, value in counts.items())
+        raise ValidationError(f"{names} must be {'integers' if len(counts) > 1 else 'an integer'}")
+    if min(counts.values()) < 1:
+        names = " and ".join(f"{key} ({value})" for key, value in counts.items())
+        raise ValidationError(f"{names} must be >= 1")
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """What the broker does on a simulated path.
@@ -75,7 +90,9 @@ class StrategyConfig:
     true initial inventory from a standard normal while the broker's belief
     stays at zero; in that mode the broker falls back to a plain inventory
     unwind over the last ``unwind_tail`` steps when she relies on a
-    flow-derived signal estimate (which degrades near the horizon).
+    flow-derived signal estimate (which degrades near the horizon).  Path
+    ``n`` draws its noise from ``default_rng(seed ^ n)``; a run's seed
+    override replaces ``seed`` here, the one place it is checked.
     """
 
     broker_mode: str = "optimal"
@@ -89,11 +106,15 @@ class StrategyConfig:
             raise ValidationError(f"broker_mode must be one of {BROKER_MODES}")
         if self.signal_source not in SIGNAL_SOURCES:
             raise ValidationError(f"signal_source must be one of {SIGNAL_SOURCES}")
-        if not all(isinstance(v, (int, np.integer)) for v in (self.seed, self.unwind_tail)):
+        if not (_is_integer(self.seed) and _is_integer(self.unwind_tail)):
             raise ValidationError(f"seed ({self.seed!r}) and unwind_tail ({self.unwind_tail!r}) "
                                   "must be integers")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.unwind_tail < 0:
             raise ValidationError("unwind_tail must be >= 0")
+        # a numpy integer seed and the equal int write one report
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -232,8 +253,6 @@ def _draw_noise(base_seed: int, path_indices, steps: int):
     contiguous row per path, and each block goes into the buffer in one
     transposed assignment.
     """
-    if base_seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {base_seed}")
     paths = [int(n) for n in path_indices]
     m = len(paths)
     noise = np.empty((steps, 3, m))
@@ -498,10 +517,10 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     ``trader``/``broker``/``flow`` are the tables solved under ``params``;
     ``init`` overrides initial states by series name.
     """
-    bundle = CoefficientBundle(trader, broker, flow)
-    tables = _Tables(params, params, bundle)
-    use_seed = config.seed if seed is None else int(seed)
-    q0, eps = _draw_noise(use_seed, [0], trader.grid.steps)
+    if seed is not None:
+        config = replace(config, seed=seed)
+    tables = _Tables(params, params, CoefficientBundle(trader, broker, flow))
+    q0, eps = _draw_noise(config.seed, [0], trader.grid.steps)
     metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
     series = {name: rec[name][:, 0].copy() for name in RECORD_SERIES}
     scalars = {key: value[0].item() for key, value in metrics.items()}
@@ -509,7 +528,7 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     state = np.stack([series["q_broker"], series[f"alpha_hat_{config.signal_source}"],
                       series["flow"], series["q_trader_belief"]], axis=1)
     components = _broker_rule(tables, config)[:, :4] * state
-    return PathResult(grid=trader.grid, config=config, seed=use_seed, t=trader.grid.times,
+    return PathResult(grid=trader.grid, config=config, seed=config.seed, t=trader.grid.times,
                       components=components, **scalars, **series)
 
 
@@ -519,14 +538,12 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
 
     The records hold exactly the ``RECORD_SERIES``, each ``(steps+1,
     n_paths)``; the rate's components are not stored (``simulate_path``
-    derives them for its one path).
+    derives them for its one path).  ``base_seed`` replaces ``config.seed``.
     """
-    if not isinstance(n_paths, (int, np.integer)):
-        raise ValidationError(f"n_paths ({n_paths!r}) must be an integer")
-    if n_paths < 1:
-        raise ValidationError(f"n_paths ({n_paths}) must be >= 1")
+    _check_counts(n_paths=n_paths)
+    config = replace(config, seed=base_seed)
     tables = _Tables(params, params, bundle)
-    q0, eps = _draw_noise(base_seed, range(n_paths), bundle.trader.grid.steps)
+    q0, eps = _draw_noise(config.seed, range(n_paths), bundle.trader.grid.steps)
     return _simulate_core(tables, config, eps, q0, record=True)
 
 
@@ -565,14 +582,9 @@ def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):
     Each chunk of paths draws its noise once (path ``n`` from
     ``base_seed ^ n``) and runs every job on it, chunk after chunk on the
     calling thread.  Returns one metrics dict per job, in job order, with
-    the chunks concatenated in path order.
+    the chunks concatenated in path order.  The caller has checked the
+    counts.
     """
-    if not all(isinstance(v, (int, np.integer)) for v in (n_paths, chunk_size)):
-        raise ValidationError(f"n_paths ({n_paths!r}) and chunk_size ({chunk_size!r}) "
-                              "must be integers")
-    if n_paths < 1 or chunk_size < 1:
-        raise ValidationError(f"n_paths ({n_paths}) and chunk_size ({chunk_size}) must be >= 1")
-
     def run_chunk(lo, hi):
         q0, eps = _draw_noise(base_seed, range(lo, hi), steps)
         return [_simulate_core(tables, config, eps, q0, record=False)[0]
@@ -592,23 +604,26 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
     """Simulate the optimal strategy and all three benchmarks on coupled noise.
 
     Every chunk of paths runs once per strategy arm on the same Gaussian
-    increments (seed ``base_seed ^ index``).  ``bundle`` is built from
-    ``params`` when not given.  Returns an
+    increments (seed ``base_seed ^ index``; ``base_seed`` replaces
+    ``config.seed``).  ``bundle`` is built from ``params`` when not given,
+    with the flow filter's tables only for a flow config.  Returns an
     :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
     metric arrays keyed by arm name.  ``threads`` is accepted and ignored
     until ROADMAP item 4's benchmark change removes it from the workloads.
     """
     from .analytics import build_experiment_report   # deferred: avoids module cycle
 
-    seed = config.seed if base_seed is None else int(base_seed)
+    if base_seed is not None:
+        config = replace(config, seed=base_seed)
+    _check_counts(n_paths=n_paths, chunk_size=chunk_size)
     if bundle is None:
-        bundle = build_coefficients(params, grid)
+        bundle = build_coefficients(params, grid, config.signal_source == "flow")
     tables = _Tables(params, params, bundle)
     jobs = [(tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
-    per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, seed, grid.steps, n_paths,
+    per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, config.seed, grid.steps, n_paths,
                                                chunk_size)))
     report = build_experiment_report(per_arm, params=params, model_params=params,
-                                     config=config, n_paths=n_paths, base_seed=seed)
+                                     config=config, n_paths=n_paths, base_seed=config.seed)
     return report, per_arm
 
 

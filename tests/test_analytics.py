@@ -230,6 +230,162 @@ def test_report_json_and_csv(params, grid200, bundle200):
     assert len(lines) == 4
 
 
+# the report layout, key by key: a field added to a report dataclass, or a
+# key renamed, must show up here
+_REPORT_JSON = """\
+{
+  "base_seed": 42,
+  "benchmarks": {
+    "2": {
+      "flagged": false,
+      "mean": 12.5,
+      "n_effective": 9,
+      "n_excluded": 1,
+      "p_value": 0.0009765625,
+      "std": 3.25,
+      "t_stat": 4.0
+    }
+  },
+  "blown_paths": {
+    "benchmark2": 1,
+    "optimal": 0
+  },
+  "c_belief": 0.5,
+  "mispecify_qi": true,
+  "mode": "flow",
+  "model_params_digest": "fedcba9876543210",
+  "n_paths": 10,
+  "params_digest": "0123456789abcdef",
+  "raw_performance": {
+    "benchmark2": {
+      "flagged": true,
+      "mean": -2.0,
+      "std": 0.0
+    },
+    "optimal": {
+      "flagged": false,
+      "mean": 1.5,
+      "std": 0.25
+    }
+  },
+  "schema": "brokergame.experiment/1"
+}"""
+
+_STRESS_JSON = """\
+{
+  "base": {
+    "base_seed": 42,
+    "benchmarks": {
+      "1": {
+        "flagged": false,
+        "mean": 12.5,
+        "n_effective": 9,
+        "n_excluded": 1,
+        "p_value": 0.0009765625,
+        "std": 3.25,
+        "t_stat": 4.0
+      },
+      "3": {
+        "flagged": true,
+        "mean": -0.75,
+        "n_effective": 0,
+        "n_excluded": 10,
+        "p_value": 0.5,
+        "std": 3.25,
+        "t_stat": 4.0
+      }
+    },
+    "blown_paths": {
+      "benchmark2": 1,
+      "optimal": 0
+    },
+    "c_belief": 1.0,
+    "mispecify_qi": true,
+    "mode": "flow",
+    "model_params_digest": "0123456789abcdef",
+    "n_paths": 10,
+    "params_digest": "0123456789abcdef",
+    "raw_performance": {
+      "benchmark2": {
+        "flagged": true,
+        "mean": -2.0,
+        "std": 0.0
+      },
+      "optimal": {
+        "flagged": false,
+        "mean": 1.5,
+        "std": 0.25
+      }
+    },
+    "schema": "brokergame.experiment/1"
+  },
+  "cells": [
+    {
+      "multiplier": 0.5,
+      "param": "theta_speed",
+      "report": {
+        "base_seed": 42,
+        "benchmarks": {
+          "2": {
+            "flagged": false,
+            "mean": 12.5,
+            "n_effective": 9,
+            "n_excluded": 1,
+            "p_value": 0.0009765625,
+            "std": 3.25,
+            "t_stat": 4.0
+          }
+        },
+        "blown_paths": {
+          "benchmark2": 1,
+          "optimal": 0
+        },
+        "c_belief": 0.5,
+        "mispecify_qi": true,
+        "mode": "flow",
+        "model_params_digest": "fedcba9876543210",
+        "n_paths": 10,
+        "params_digest": "0123456789abcdef",
+        "raw_performance": {
+          "benchmark2": {
+            "flagged": true,
+            "mean": -2.0,
+            "std": 0.0
+          },
+          "optimal": {
+            "flagged": false,
+            "mean": 1.5,
+            "std": 0.25
+          }
+        },
+        "schema": "brokergame.experiment/1"
+      }
+    }
+  ],
+  "schema": "brokergame.stress/1"
+}"""
+
+
+def test_report_layout_is_pinned():
+    stats = analytics.BenchmarkStats(mean=12.5, std=3.25, t_stat=4.0, p_value=0.0009765625,
+                                     n_effective=9, n_excluded=1, flagged=False)
+    # filtered to benchmark 2, as ``brokergame --benchmark 2 experiment`` writes it
+    report = analytics.ExperimentReport(
+        schema="brokergame.experiment/1", mode="flow", mispecify_qi=True, c_belief=0.5,
+        n_paths=10, base_seed=42, params_digest="0123456789abcdef",
+        model_params_digest="fedcba9876543210", benchmarks={2: stats},
+        raw_performance={"optimal": (1.5, 0.25, False), "benchmark2": (-2.0, 0.0, True)},
+        blown_paths={"optimal": 0, "benchmark2": 1})
+    assert bg.report_to_json(report) == _REPORT_JSON
+    flagged = replace(stats, mean=-0.75, p_value=0.5, n_effective=0, n_excluded=10,
+                      flagged=True)
+    base = replace(report, model_params_digest="0123456789abcdef", c_belief=1.0,
+                   benchmarks={3: flagged, 1: stats})
+    sr = analytics.StressReport(base=base,
+                                cells=(analytics.StressCell("theta_speed", 0.5, report),))
+    assert bg.stress_to_json(sr) == _STRESS_JSON
+
+
 def test_params_digest_ignores_int_float_spelling(params):
     # reports carry the digest, so an int field and the equal float must agree
     for name in ("c_belief", "perm_impact"):

@@ -250,3 +250,20 @@ def test_c_belief_flag_sets_model_field(tmp_path, capsys):
     old = _write(tmp_path / "old.ini", base + "\n[strategy]\nc_belief = 0\n")
     assert main(["--config", old, "experiment"]) == 2
     assert "c_belief" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "diag", "path", "experiment", "stress"])
+@pytest.mark.parametrize("ini, flags, field", [
+    ("[strategy]\nsignal_source = bogus\n", [], "signal_source"),
+    ("[strategy]\nunwind_tail = -1\n", [], "unwind_tail"),
+    ("[strategy]\nmispecify_qi = maybe\n", [], "mispecify_qi"),
+    ("", ["--seed", "-3"], "seed"),
+])
+def test_every_setting_is_checked_for_every_command(tmp_path, capsys, command, ini, flags,
+                                                    field):
+    # the config is checked when it loads, before any command runs
+    path = _write(tmp_path / "bad.ini", "[grid]\nsteps = 50\n\n" + ini)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out-dir", str(out), *flags, command]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()

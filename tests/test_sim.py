@@ -318,7 +318,7 @@ def test_simulate_recorded_rejects_empty_batches(params, bundle200, n_paths):
         bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), n_paths, 5)
 
 
-@pytest.mark.parametrize("n_paths, chunk_size", [(2.5, 16), (3, 2.5)])
+@pytest.mark.parametrize("n_paths, chunk_size", [(2.5, 16), (3, 2.5), (True, 16), (3, True)])
 def test_runs_reject_non_integral_counts(params, grid200, bundle200, n_paths, chunk_size):
     # a float count is a ValidationError, not range()'s bare TypeError
     with pytest.raises(bg.ValidationError, match="must be integers"):
@@ -332,6 +332,8 @@ def test_runs_reject_non_integral_counts(params, grid200, bundle200, n_paths, ch
 def test_simulate_recorded_rejects_non_integral_counts(params, bundle200):
     with pytest.raises(bg.ValidationError, match=re.escape("n_paths (2.5) must be an integer")):
         bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), 2.5, 5)
+    with pytest.raises(bg.ValidationError, match=re.escape("n_paths (True) must be an integer")):
+        bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), True, 5)
     metrics, _ = bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), np.int64(2), 5)
     assert metrics["wealth_broker"].shape == (2,)
 
@@ -464,7 +466,8 @@ def test_run_experiment_independent_of_chunking(params, grid200, bundle200):
 
 
 @pytest.mark.parametrize("field, value", [("unwind_tail", 2.5), ("seed", 1.5),
-                                          ("unwind_tail", 3.0), ("seed", "7")])
+                                          ("unwind_tail", 3.0), ("seed", "7"),
+                                          ("unwind_tail", True), ("seed", True)])
 def test_non_integral_config_values_are_rejected(field, value):
     # a typed error, not a TypeError from the tail slice or the seed's xor
     with pytest.raises(bg.ValidationError, match=re.escape(f"{field} ({value!r})")):
@@ -535,6 +538,73 @@ def test_negative_seed_rejected(params, grid200, bundle200):
     with pytest.raises(bg.ValidationError, match="-4"):
         bg.simulate_path(params, bundle200.trader, bundle200.broker, bundle200.flow,
                          bg.StrategyConfig(seed=-4))
+
+
+@pytest.fixture(scope="module")
+def bundle20(params):
+    return bg.build_coefficients(params, bg.TimeGrid(1.0, 20))
+
+
+def _seeded_runs(params, bundle):
+    """Each run entry point as a function of its seed override."""
+    config, grid = bg.StrategyConfig(), bundle.trader.grid
+    return {
+        "simulate_path": lambda seed: bg.simulate_path(
+            params, bundle.trader, bundle.broker, bundle.flow, config, seed=seed),
+        "simulate_recorded": lambda seed: bg.simulate_recorded(params, bundle, config, 3, seed),
+        "run_experiment": lambda seed: bg.run_experiment(
+            params, grid, config, 3, base_seed=seed, bundle=bundle),
+        "stress_runner": lambda seed: bg.stress_runner(
+            params, {"kappa_signal": [0.5]}, grid, config, 3, base_seed=seed),
+    }
+
+
+@pytest.mark.parametrize("seed", [7.9, True, "12", -1])
+@pytest.mark.parametrize("entry", ["simulate_path", "simulate_recorded", "run_experiment",
+                                   "stress_runner"])
+def test_every_entry_point_checks_its_seed(params, bundle20, entry, seed):
+    with pytest.raises(bg.ValidationError, match="seed"):
+        _seeded_runs(params, bundle20)[entry](seed)
+
+
+def test_numpy_integer_seeds_run_like_ints(params, bundle20):
+    runs = _seeded_runs(params, bundle20)
+    a, b = runs["simulate_path"](7), runs["simulate_path"](np.int64(7))
+    assert type(b.seed) is int and b.seed == 7
+    assert a.q_broker.tobytes() == b.q_broker.tobytes()
+    a, b = runs["simulate_recorded"](7), runs["simulate_recorded"](np.int64(7))
+    assert a[0]["wealth_broker"].tobytes() == b[0]["wealth_broker"].tobytes()
+    a, b = runs["run_experiment"](7)[0], runs["run_experiment"](np.int64(7))[0]
+    assert bg.report_to_json(a) == bg.report_to_json(b)
+    a, b = runs["stress_runner"](7), runs["stress_runner"](np.int64(7))
+    assert bg.stress_to_json(a) == bg.stress_to_json(b)
+
+
+def test_counts_are_checked_before_any_build(params, monkeypatch):
+    builds = []
+    monkeypatch.setattr(bg.sim, "build_coefficients", lambda *args: builds.append(args))
+    sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
+    with pytest.raises(bg.ValidationError, match=re.escape("n_paths (0)")):
+        bg.stress_runner(params, sweep, bg.TimeGrid(1.0, 1000), bg.StrategyConfig(), 0)
+    with pytest.raises(bg.ValidationError, match=re.escape("chunk_size (0)")):
+        bg.run_experiment(params, bg.TimeGrid(1.0, 1000), bg.StrategyConfig(), 10,
+                          chunk_size=0)
+    assert builds == []
+
+
+def test_price_experiment_builds_no_flow_tables(params, grid200, bundle200, monkeypatch):
+    # the price arms never read the flow filter; a run that builds its own
+    # tables skips them and reports what a run on tables with them reports
+    calls = []
+    real = bg.sim.flow_filter_coefficients
+    monkeypatch.setattr(bg.sim, "flow_filter_coefficients",
+                        lambda *args: calls.append(1) or real(*args))
+    config = bg.StrategyConfig(signal_source="price")
+    own, _ = bg.run_experiment(params, grid200, config, 20, base_seed=9)
+    assert calls == []
+    assert bundle200.flow is not None
+    shared, _ = bg.run_experiment(params, grid200, config, 20, base_seed=9, bundle=bundle200)
+    assert bg.report_to_json(own) == bg.report_to_json(shared)
 
 
 def test_monte_carlo_starts_no_thread(params, grid200, bundle200, monkeypatch):
