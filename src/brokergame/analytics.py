@@ -210,10 +210,12 @@ class ExperimentReport:
 
 
 def build_experiment_report(per_arm: dict, params: ModelParams,
-                            model_params: ModelParams, config, n_paths: int,
-                            base_seed: int) -> ExperimentReport:
-    """Aggregate per-path metrics from the four strategy arms."""
+                            model_params: ModelParams, config) -> ExperimentReport:
+    """Aggregate per-path metrics from the four strategy arms: the path count
+    comes from their arrays, the seed from ``config.seed``, and each arm's raw
+    performance is ``one_sided_t_test``'s (mean, std, flagged) of its unblown wealth."""
     opt = per_arm["optimal"]
+    n_paths = opt["blown"].size
     benchmarks = {}
     for i in (1, 2, 3):
         arm = per_arm[f"benchmark{i}"]
@@ -229,12 +231,8 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
     raw = {}
     blown = {}
     for arm, m in per_arm.items():
-        ok = ~m["blown"]
-        w = m["wealth_broker"][ok]
-        if w.size >= 2:
-            raw[arm] = (float(w.mean()), float(w.std(ddof=1)), False)
-        else:
-            raw[arm] = (float(w.mean()) if w.size else 0.0, 0.0, True)
+        tt = one_sided_t_test(m["wealth_broker"][~m["blown"]])
+        raw[arm] = (tt.mean, tt.std, tt.flagged)
         blown[arm] = int(m["blown"].sum())
     return ExperimentReport(
         schema="brokergame.experiment/1",
@@ -242,7 +240,7 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
         mispecify_qi=bool(config.mispecify_qi),
         c_belief=float(model_params.c_belief),
         n_paths=n_paths,
-        base_seed=base_seed,
+        base_seed=config.seed,
         params_digest=params.digest(),
         model_params_digest=model_params.digest(),
         benchmarks=benchmarks,
@@ -333,8 +331,7 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
 
     base_arms = dict(zip(BROKER_MODES, results))
     report = lambda per_arm, model: build_experiment_report(
-        per_arm, params=params, model_params=model, config=config, n_paths=n_paths,
-        base_seed=config.seed)
+        per_arm, params=params, model_params=model, config=config)
     return StressReport(
         base=report(base_arms, params),
         cells=tuple(StressCell(name, mult, report({**base_arms, "optimal": arms}, stressed))

@@ -139,15 +139,12 @@ def _riccati_terms(f1, f2, f3, vb, params: ModelParams, states):
     return s, np.take(2.0 * p8, states, axis=-1), p9
 
 
-def _symmetrize(m):
-    return 0.5 * (m + m.T)
-
-
 def _march(params: ModelParams, trader: TraderCoefficients, var_alpha: DeterministicTable,
            grid: TimeGrid, states, name: str) -> DeterministicTable:
     """Backward RK4 march of ``G' = -(S + (G W)(G W)^T + G P9 + P9^T G)``
-    restricted to ``states`` (re-symmetrised each step), from the terminal
-    penalty ``-(beta0 + beta1 var_alpha(T))`` in the first entry."""
+    restricted to ``states``, from the terminal penalty ``-(beta0 + beta1
+    var_alpha(T))`` in the first entry.  Every term of the right-hand side
+    is symmetric entry for entry, so the march keeps G exactly symmetric."""
     terminal = np.zeros((len(states), len(states)))
     terminal[0, 0] = -(params.beta0_broker
                        + params.beta1_broker * var_alpha.at_index(grid.steps))
@@ -156,16 +153,15 @@ def _march(params: ModelParams, trader: TraderCoefficients, var_alpha: Determini
         s, w, p9 = _riccati_terms(
             *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
             params, states)
-    # per-stage lists index faster than arrays; -(S + A + L + L^T) equals
-    # -S - A - L - L^T exactly, since rounding is symmetric in sign
+    # per-stage lists index faster than arrays
     neg_s, w, p9 = list(-s), list(w), list(p9)
 
     def rhs(i, g):
         gw = g.dot(w[i])
         lin = g.dot(p9[i])
-        return neg_s[i] - gw[:, None] * gw - lin - lin.T
+        return neg_s[i] - gw[:, None] * gw - (lin + lin.T)
 
-    return rk4_integrate(rhs, terminal, lattice, project=_symmetrize, name=name)
+    return rk4_integrate(rhs, terminal, lattice, name=name)
 
 
 def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
@@ -179,12 +175,12 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
                  grid: TimeGrid) -> BrokerCoefficients:
     """Solve the broker's full coefficient system.
 
-    The full 4x4 matrix Riccati is integrated backward (re-symmetrised each
-    step) and cross-checked against the same equation restricted to the
-    (q_broker, q_trader) block, which is authoritative for the corner entries
-    that enter the control.  A blow-up means the permanent impact is outside
-    the range where the reduced system has a global solution, or the grid step
-    is too coarse for the marches' fixed substeps.
+    The full 4x4 matrix Riccati is integrated backward, exactly symmetric at
+    every node, and cross-checked against the same equation restricted to
+    the (q_broker, q_trader) block, which is authoritative for the corner
+    entries that enter the control.  A blow-up means the permanent impact is
+    outside the range where the reduced system has a global solution, or the
+    grid step is too coarse for the marches' fixed substeps.
     """
     var_alpha = solve_price_filter_variance(params, grid)
     try:

@@ -102,7 +102,7 @@ def _outpath(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_coeffs(cfg: RunConfig) -> int:
-    bundle = build_coefficients(cfg.params, cfg.grid)
+    bundle = build_coefficients(cfg.params, cfg.grid, with_flow=False)
     export_trader_csv(bundle.trader, _outpath(cfg, "trader_coefficients.csv"))
     export_broker_csv(bundle.broker, _outpath(cfg, "broker_coefficients.csv"))
     _write_eigen_csv(bundle.broker, _outpath(cfg, "eigenvalues.csv"))
@@ -117,7 +117,7 @@ def _write_eigen_csv(broker, path) -> None:
 
 
 def cmd_diag(cfg: RunConfig) -> int:
-    bundle = build_coefficients(cfg.params, cfg.grid)
+    bundle = build_coefficients(cfg.params, cfg.grid, with_flow=False)
     _write_eigen_csv(bundle.broker, _outpath(cfg, "eigenvalues.csv"))
     ev = bundle.broker.eigvals.values
     det = np.abs(bundle.broker.det_scaled.values).max()

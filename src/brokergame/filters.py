@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterDegeneracyError
-from .odes import DeterministicTable, StageLattice, TimeGrid, rk4_integrate
+from .odes import DeterministicTable, StageLattice, TimeGrid, solve_scalar_riccati
 from .params import ModelParams
 from .trader import TraderCoefficients
 
@@ -118,12 +118,6 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
             "composite diffusion of the adjusted flow vanishes before the horizon"
         )
 
-    interior = slice(0, n)        # 1/unit and 1/scale diverge at the horizon
-    g1 = p * p * vv * f2 / ss ** 2
-    inv_u = 1.0 / uv[interior]
-    galpha = -1.0 / (2.0 * b) + f1[interior] * p * p * vv[interior] / ss ** 2 \
-        + f1[interior] * inv_u
-
     # closed-form time derivatives of the diffusion loadings (no finite
     # differences), without the trader's inventory term: that term moves f1,
     # f2 and so scale at one common rate, which dividing by scale removes, so
@@ -132,20 +126,18 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     h4 = (p / ss) * (vv * (-p / (2.0 * b) + th * f2)
                      + f2 * (sb ** 2 - 2.0 * th * vv - p ** 2 * vv ** 2 / ss ** 2))
 
-    g6 = np.empty(n + 1)
-    g7 = np.empty(n + 1)
-    g9 = np.empty(n + 1)
-    kmix = np.empty(n + 1)
-    mix_gap = np.empty(n + 1)     # 1 - kmix^2 without subtracting from 1
-    inv_g5 = np.empty(n + 1)
-    g6[interior] = (-(h3[interior] * (g3[interior] + rho * g4[interior])
-                      + h4[interior] * (rho * g3[interior] + g4[interior])) / g5[interior] ** 2
-                    - p * p * vv[interior] / ss ** 2 - inv_u)
-    g7[interior] = galpha / g5[interior]
-    g9[interior] = g1[interior] / g5[interior]
-    kmix[interior] = (g3[interior] + rho * g4[interior]) / g5[interior]
-    mix_gap[interior] = (1.0 - rho * rho) * g4[interior] ** 2 / g5[interior] ** 2
-    inv_g5[interior] = 1.0 / g5[interior]
+    # 1/unit and 1/scale diverge at the horizon, whose values are set below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g1 = p * p * vv * f2 / ss ** 2
+        inv_u = 1.0 / uv
+        galpha = -1.0 / (2.0 * b) + f1 * p * p * vv / ss ** 2 + f1 * inv_u
+        g6 = (-(h3 * (g3 + rho * g4) + h4 * (rho * g3 + g4)) / g5 ** 2
+              - p * p * vv / ss ** 2 - inv_u)
+        g7 = galpha / g5
+        g9 = g1 / g5
+        kmix = (g3 + rho * g4) / g5
+        mix_gap = (1.0 - rho * rho) * g4 ** 2 / g5 ** 2   # 1 - kmix^2 without subtracting from 1
+        inv_g5 = 1.0 / g5
 
     # horizon values: finite limits where they exist, last interior node where
     # the ratio genuinely blows up
@@ -173,13 +165,8 @@ def flow_filter_coefficients(trader: TraderCoefficients, params: ModelParams,
     with np.errstate(over="ignore", invalid="ignore"):
         source = sa * sa * tbl("mix_gap", mix_gap)(forward.times)
         decay = 2.0 * ka + 2.0 * sa * noise_mix(forward.times) * g7s
-        g7sq = g7s * g7s
-    source, decay, g7sq = source.tolist(), decay.tolist(), g7sq.tolist()
-
-    def var_rhs(i, v):
-        return source[i] - v * (decay[i] + g7sq[i] * v)
-
-    var_alt = rk4_integrate(var_rhs, 0.0, forward, name="var_alt")
+        quad = -g7s * g7s
+    var_alt = solve_scalar_riccati(quad, -decay, source, 0.0, forward, name="var_alt")
 
     return FlowFilterCoefficients(
         grid=grid,

@@ -172,7 +172,7 @@ def _rk4_step(rhs, i, di, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
+def rk4_integrate(rhs, boundary_value, lattice: StageLattice,
                   name: str = "rk4") -> DeterministicTable:
     """Integrate y' = rhs(i, y) over ``lattice.grid`` with classical RK4.
 
@@ -185,10 +185,8 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
     from arrays) and avoid ``**``: float arithmetic overflows to inf, which
     the blow-up check below catches, but ``**`` raises ``OverflowError``.
 
-    ``project`` is an optional map applied to the state after every grid step
-    (used e.g. to re-symmetrise matrix solutions).  Values are stored at the
-    grid nodes only, whatever the lattice's substeps, so tables stay aligned
-    with the simulation grid.
+    Values are stored at the grid nodes only, whatever the lattice's
+    substeps, so tables stay aligned with the simulation grid.
     """
     grid, substeps = lattice.grid, lattice.substeps
     y = np.array(boundary_value, dtype=float)
@@ -206,8 +204,6 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
         for k in range(start, start + step * grid.steps, step):
             for j in range(substeps):
                 y = _rk4_step(rhs, 2 * (substeps * k + step * j), step, y, sub)
-            if project is not None:
-                y = project(y)
             if not (math.isfinite(y) if scalar else np.isfinite(y).all()):
                 raise IntegrationBlowupError(
                     f"'{name}' produced a non-finite value at t={grid.times[k + step]:.10g}"
@@ -219,7 +215,10 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice, project=None,
 def _on_lattice(c, lattice: StageLattice) -> np.ndarray:
     if isinstance(c, DeterministicTable):
         return c(lattice.times)
-    return np.full(lattice.times.shape, float(c))
+    c = np.asarray(c, dtype=float)
+    if c.ndim and c.shape != lattice.times.shape:
+        raise ValidationError(f"coefficient of shape {c.shape} is not on the stage lattice")
+    return np.broadcast_to(c, lattice.times.shape)
 
 
 def solve_scalar_riccati(quad, lin, const, boundary: float, lattice: StageLattice,
@@ -229,8 +228,9 @@ def solve_scalar_riccati(quad, lin, const, boundary: float, lattice: StageLattic
     forward:   y' = const(t) + lin(t) y + quad(t) y^2,  y(0) = boundary
     backward:  0 = y' + const(t) + lin(t) y + quad(t) y^2,  y(horizon) = boundary
 
-    Coefficients may be numbers or DeterministicTables; tables are evaluated
-    once, on the stage lattice.
+    Each coefficient is a number, a DeterministicTable (evaluated once, on
+    the stage lattice) or an array already on the lattice, one entry per
+    ``lattice.times``; an array of any other shape raises ``ValidationError``.
     """
     sign = 1.0 if lattice.direction == "forward" else -1.0
     q, l, c = ((sign * _on_lattice(x, lattice)).tolist() for x in (quad, lin, const))

@@ -281,9 +281,10 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     n_steps = grid.steps
     dt = grid.dt
     m = eps.shape[1]
-    has_flow = tables.inv_scale is not None
-    if config.signal_source == "flow" and not has_flow:
+    if config.signal_source == "flow" and tables.inv_scale is None:
         raise ValidationError("signal_source='flow' requires flow-filter coefficients")
+    # the flow filter runs only where its estimate is read or recorded
+    has_flow = tables.inv_scale is not None and (record or config.signal_source == "flow")
     init = init or {}
     unknown = sorted(set(init) - set(INIT_STATES))
     if unknown:
@@ -622,8 +623,7 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
     jobs = [(tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
     per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, config.seed, grid.steps, n_paths,
                                                chunk_size)))
-    report = build_experiment_report(per_arm, params=params, model_params=params,
-                                     config=config, n_paths=n_paths, base_seed=config.seed)
+    report = build_experiment_report(per_arm, params=params, model_params=params, config=config)
     return report, per_arm
 
 

@@ -230,6 +230,25 @@ def test_report_json_and_csv(params, grid200, bundle200):
     assert len(lines) == 4
 
 
+def test_report_of_a_numpy_integer_path_count(params, grid200, bundle200):
+    report, _ = bg.run_experiment(params, grid200, bg.StrategyConfig(), np.int64(4),
+                                  base_seed=9, bundle=bundle200)
+    assert json.loads(bg.report_to_json(report))["n_paths"] == 4
+
+
+def test_zero_dispersion_arm_is_flagged(params):
+    # raw performance comes from the t test, which flags a sample with no spread
+    rng = np.random.default_rng(3)
+    arm = lambda wealth: {"wealth_broker": wealth, "notional": np.ones(6),
+                          "blown": np.zeros(6, dtype=bool)}
+    per_arm = {name: arm(rng.standard_normal(6)) for name in BROKER_MODES}
+    per_arm["optimal"] = arm(np.full(6, 2.5))
+    report = analytics.build_experiment_report(per_arm, params, params, bg.StrategyConfig())
+    assert report.raw_performance["optimal"] == (2.5, 0.0, True)
+    assert not report.raw_performance["benchmark1"][2]
+    assert (report.n_paths, report.base_seed) == (6, bg.StrategyConfig().seed)
+
+
 # the report layout, key by key: a field added to a report dataclass, or a
 # key renamed, must show up here
 _REPORT_JSON = """\
@@ -418,8 +437,7 @@ def _independent_stress(params, sweep, grid, config, n_paths, seed):
                                        record=False)[0]
                    for arm in BROKER_MODES}
         return analytics.build_experiment_report(per_arm, params=params, model_params=model,
-                                                 config=config, n_paths=n_paths,
-                                                 base_seed=seed)
+                                                 config=replace(config, seed=seed))
     cells = tuple(
         analytics.StressCell(name, float(mult),
                              cell(params.replace(**{name: getattr(params, name) * mult})))

@@ -101,6 +101,15 @@ def test_g2_symmetry(bundle):
     assert np.abs(g - g.transpose(0, 2, 1)).max() < 1e-10
 
 
+def test_g2_exactly_symmetric(params, grid200, random_params):
+    # every term of the march's right-hand side is symmetric entry for entry,
+    # and RK4 combines them entry by entry
+    for p in random_params + [params.replace(c_belief=c, beta0_broker=1e-5)
+                              for c in (0.0, 0.5)]:
+        g = bg.solve_broker(p, bg.solve_trader(p, grid200), grid200).g2.values
+        assert np.array_equal(g, g.swapaxes(-1, -2))
+
+
 def test_reduced_block_agreement(params, grid1000, bundle):
     assert bundle.broker.block_dev < 1e-8
     blk = bg.solve_reduced_riccati(params, bundle.trader, bundle.broker.var_alpha,

@@ -267,3 +267,16 @@ def test_every_setting_is_checked_for_every_command(tmp_path, capsys, command, i
     assert main(["--config", path, "--out-dir", str(out), *flags, command]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, csvs", [
+    ("coeffs", ("trader_coefficients.csv", "broker_coefficients.csv", "eigenvalues.csv")),
+    ("diag", ("eigenvalues.csv",))])
+def test_coefficient_commands_run_without_noise(tmp_path, command, csvs):
+    # neither command writes the flow filter's tables, which need price noise
+    ini = _write(tmp_path / "quiet.ini", "[grid]\nsteps = 80\n\n[model]\nsigma_price = 0\n"
+                 "sigma_signal = 0\nsigma_speed = 0\n")
+    out = tmp_path / "out"
+    assert main(["--config", ini, "--out-dir", str(out), command]) == 0
+    for name in csvs:
+        assert len(_read(out / name).decode().strip().split("\n")) == 1 + 81

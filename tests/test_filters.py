@@ -125,7 +125,7 @@ def test_build_marches_each_system_once(params, grid200, monkeypatch):
         names.append(signature.bind(*args, **kwargs).arguments.get("name", "rk4"))
         return integrate(*args, **kwargs)
 
-    for module in (bg.odes, bg.trader, bg.broker, bg.filters):
+    for module in (bg.odes, bg.trader, bg.broker):
         monkeypatch.setattr(module, "rk4_integrate", spy)
     bg.build_coefficients(params, grid200)
     assert names == ["var_nu", "g2", "z", "var_alpha", "broker_g2", "g2_block", "g0", "var_alt"]

@@ -85,6 +85,20 @@ def test_scalar_riccati_float_march_equals_array_march(direction, substeps):
     assert tab.values.tobytes() == ref.values[:, 0].tobytes()
 
 
+def test_scalar_riccati_reads_arrays_on_its_lattice():
+    # an array already on the stage lattice is read as it is; one of any
+    # other length is rejected rather than misaligned
+    g = bg.TimeGrid(1.0, 120)
+    lattice = StageLattice(g, substeps=2)
+    quad = bg.DeterministicTable("quad", g, -0.7 - 0.2 * np.cos(5.0 * g.times))
+    tab = bg.solve_scalar_riccati(quad, -1.9, 1.0, 0.3, lattice)
+    same = bg.solve_scalar_riccati(quad(lattice.times), -1.9, 1.0, 0.3, lattice)
+    assert same.values.tobytes() == tab.values.tobytes()
+    for wrong in (quad.values, quad(lattice.times)[:-1]):
+        with pytest.raises(bg.ValidationError, match="stage lattice"):
+            bg.solve_scalar_riccati(wrong, -1.9, 1.0, 0.3, lattice)
+
+
 def test_float_march_blowup_raises_the_typed_error():
     # Python floats overflow to inf without a warning or an OverflowError;
     # the march still stops at the first non-finite grid node and names it

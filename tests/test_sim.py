@@ -1,6 +1,7 @@
 import re
 import threading
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -648,3 +649,66 @@ def test_notional_is_trapezoid_of_traded_value(bundle, params, grid1000, mode):
                           + np.abs(res.flow))
     ref = grid1000.dt * (traded.sum() - 0.5 * (traded[0] + traded[-1]))
     assert res.notional == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("source", ["price", "naive"])
+def test_unread_flow_filter_does_not_run(params, grid200, bundle200, source):
+    # a price or naive arm neither reads nor records the flow estimate, so
+    # broken flow tables must not reach its blow-up probe or its metrics
+    broken = replace(bundle200.flow, inv_scale=bg.DeterministicTable(
+        "inv_scale", grid200, np.full(grid200.steps + 1, np.nan)))
+    q0, eps = _draw_noise(3, range(8), grid200.steps)
+    config = bg.StrategyConfig(signal_source=source)
+    runs = [_simulate_core(_Tables(params, params, replace(bundle200, flow=flow)), config,
+                           eps, q0, record=False)[0]
+            for flow in (broken, None)]
+    assert not runs[0]["blown"].any()
+    for key, value in runs[1].items():
+        assert np.array_equal(runs[0][key], value), key
+
+
+def _books(p, metrics, q0, config):
+    """Each side's wealth less its starting book marked at the first price."""
+    q_trader0 = q0 if config.mispecify_qi else 0.0
+    return metrics["wealth_broker"], metrics["wealth_trader"] - q_trader0 * p.price_init
+
+
+def _arm_configs():
+    return [bg.StrategyConfig(broker_mode=mode, signal_source=source, mispecify_qi=mis)
+            for mode in BROKER_MODES for source in ("price", "flow", "naive")
+            for mis in (False, True)]
+
+
+def _assert_same_books(got, ref, config):
+    for side, x, y in zip(("broker", "trader"), got, ref):
+        assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max(), (config, side)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.4])
+def test_negated_noise_leaves_books_unchanged(rho):
+    # every state starts at zero or at q0 and moves linearly in the noise,
+    # so (eps, q0) -> (-eps, -q0) flips every flow and leaves each side's
+    # wealth net of its starting book, a quadratic form, where it was
+    p = bg.DEFAULT_PARAMS.replace(rho=rho)
+    grid = bg.TimeGrid(1.0, 200)
+    tables = _Tables(p, p, bg.build_coefficients(p, grid))
+    q0, eps = _draw_noise(11, range(300), grid.steps)
+    for config in _arm_configs():
+        plus, _ = _simulate_core(tables, config, eps, q0, record=False)
+        minus, _ = _simulate_core(tables, config, -eps, -q0, record=False)
+        _assert_same_books(_books(p, minus, -q0, config), _books(p, plus, q0, config), config)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.4])
+def test_price_level_leaves_books_unchanged(rho):
+    # every trade settles at the same price on both sides of it, so the
+    # price level drops out of each side's wealth net of its starting book
+    grid = bg.TimeGrid(1.0, 1000)
+    p = bg.DEFAULT_PARAMS.replace(rho=rho)
+    low = p.replace(price_init=37.0)
+    bundle = bg.build_coefficients(p, grid)
+    q0, eps = _draw_noise(12, range(500), grid.steps)
+    for config in _arm_configs():
+        ref, _ = _simulate_core(_Tables(p, p, bundle), config, eps, q0, record=False)
+        got, _ = _simulate_core(_Tables(low, low, bundle), config, eps, q0, record=False)
+        _assert_same_books(_books(low, got, q0, config), _books(p, ref, q0, config), config)
