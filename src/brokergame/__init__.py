@@ -14,7 +14,8 @@ from .analytics import (LEARNING_PARAMS, BenchmarkStats, ExperimentReport, Stres
                         report_to_csv, report_to_json, stress_runner, stress_to_csv,
                         stress_to_json)
 from .broker import (BrokerCoefficients, existence_diagnostic, export_broker_csv,
-                     solve_broker, solve_price_filter_variance, solve_reduced_riccati)
+                     solve_broker, solve_brokers, solve_price_filter_variance,
+                     solve_reduced_riccati)
 from .errors import (AdmissibilityError, BrokerGameError, ExistenceError,
                      FilterDegeneracyError, IntegrationBlowupError,
                      MetricUndefinedError, ModelInconsistencyError, TableRangeError,
@@ -25,7 +26,7 @@ from .odes import (DeterministicTable, StageLattice, TimeGrid, rk4_integrate,
                    solve_scalar_riccati)
 from .params import DEFAULT_PARAMS, ModelParams
 from .sim import (CoefficientBundle, PathResult, StrategyConfig,
-                  build_coefficients, export_filter_csv, export_path_csv,
+                  build_bundles, build_coefficients, export_filter_csv, export_path_csv,
                   filter_diagnostics, run_experiment, simulate_path, simulate_recorded)
 from .trader import TraderCoefficients, export_trader_csv, solve_trader
 

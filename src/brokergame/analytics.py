@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .broker import BrokerCoefficients
-from .errors import MetricUndefinedError, ValidationError
+from .errors import ExistenceError, MetricUndefinedError, ValidationError
 from .odes import DeterministicTable, _write_text, write_columns_csv
 from .params import ModelParams
 from .trader import TraderCoefficients
@@ -301,13 +301,16 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     the base cell's four arms plus every stressed cell's optimal arm on it.
     A cell's report reuses the base cell's benchmark arms: their rules read
     only the broker's inventory, the client flows and the true trader, none
-    of which the stress touches.  The flow filter's tables are built only
-    when ``config.signal_source`` is ``"flow"``; no other cell reads them.
-    ``base_seed`` replaces ``config.seed``.  ``threads`` is accepted and ignored until
-    ROADMAP item 4's benchmark change removes it from the workloads.
+    of which the stress touches.  The base cell's and every stressed cell's
+    tables are built in one batch, their broker Riccati in one stacked march;
+    an ``ExistenceError`` names the cell that blew up.  The flow filter's
+    tables are built only when ``config.signal_source`` is ``"flow"``; no
+    other cell reads them.  ``base_seed`` replaces ``config.seed``.
+    ``threads`` is accepted and ignored until the benchmark's workloads stop
+    passing it.
     """
     from .sim import (BROKER_MODES, _check_counts, _run_jobs, _Tables,  # deferred: cycle
-                      build_coefficients)
+                      build_bundles)
 
     for name in sweep:
         if name not in LEARNING_PARAMS:
@@ -317,16 +320,19 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     if base_seed is not None:
         config = replace(config, seed=base_seed)
     _check_counts(n_paths=n_paths, chunk_size=chunk_size)
-    with_flow = config.signal_source == "flow"
-    base = build_coefficients(params, grid, with_flow)
-    base_tables = _Tables(params, params, base)
-    jobs = [(base_tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
     cells = [(name, float(mult), params.replace(**{name: getattr(params, name) * float(mult)}))
              for name, multipliers in sweep.items() for mult in multipliers]
+    try:
+        base, *bundles = build_bundles([params] + [stressed for _, _, stressed in cells], grid,
+                                       config.signal_source == "flow")
+    except ExistenceError as exc:
+        cell = "base" if exc.member == 0 else "%s x %g" % cells[exc.member - 1][:2]
+        raise ExistenceError(f"stress cell {cell}: {exc}", exc.member) from exc
+    base_tables = _Tables(params, params, base)
+    jobs = [(base_tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
     optimal = replace(config, broker_mode="optimal")
-    for _, _, stressed in cells:
-        bundle = build_coefficients(stressed, grid, with_flow)
-        jobs.append((_Tables(params, stressed, bundle, trader_true=base.trader), optimal))
+    jobs += [(_Tables(params, stressed, bundle, trader_true=base.trader), optimal)
+             for (_, _, stressed), bundle in zip(cells, bundles)]
     results = _run_jobs(jobs, config.seed, grid.steps, n_paths, chunk_size)
 
     base_arms = dict(zip(BROKER_MODES, results))

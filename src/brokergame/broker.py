@@ -9,11 +9,16 @@ feedback loadings,
 
 ``W`` lives on (q_broker, q_trader) and ``P9`` maps nothing from
 (alpha_hat, flow) into that pair, so the same equation restricted to the
-pair is a closed 2x2 Riccati.  One right-hand side serves both marches: the
-restricted block is authoritative for the control and the full solve must
-agree with it, which doubles as an integration cross-check.  An eigenvalue
-diagnostic, read from the same restricted terms, certifies that the block
-stays in the region where a global solution exists.
+pair is a closed 2x2 Riccati.  The restricted block is authoritative for the
+control and the full solve must agree with it, which doubles as an
+integration cross-check.  Every solve runs as one stacked RK4 march on a
+``(systems, 4, 4)`` state: each parameter set contributes its full system
+and its restricted one, padded into the 4x4 frame with ``S``, ``W`` and
+``P9`` zero outside the pair, where the equation then keeps ``G`` exactly 0.
+A march is bound by per-stage Python work, not by matrix size, so a batch of
+parameter sets costs little more than one.  An eigenvalue diagnostic, read
+from the same restricted terms, certifies that the block stays in the
+region where a global solution exists.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
     "BrokerCoefficients",
     "solve_price_filter_variance",
     "solve_broker",
+    "solve_brokers",
     "solve_reduced_riccati",
     "existence_diagnostic",
     "export_broker_csv",
@@ -42,6 +48,8 @@ __all__ = [
 STATE_ORDER = ("q_broker", "alpha_hat", "flow", "q_trader")
 # (q_broker, q_trader): the block of the Riccati that closes on itself
 _CORNER = (0, 3)
+# each parameter set's members of a stacked march, in order: (name, states)
+_MEMBERS = (("broker_g2", (0, 1, 2, 3)), ("g2_block", _CORNER))
 
 
 @dataclass(frozen=True)
@@ -139,27 +147,36 @@ def _riccati_terms(f1, f2, f3, vb, params: ModelParams, states):
     return s, np.take(2.0 * p8, states, axis=-1), p9
 
 
-def _march(params: ModelParams, trader: TraderCoefficients, var_alpha: DeterministicTable,
-           grid: TimeGrid, states, name: str) -> DeterministicTable:
-    """Backward RK4 march of ``G' = -(S + (G W)(G W)^T + G P9 + P9^T G)``
-    restricted to ``states``, from the terminal penalty ``-(beta0 + beta1
-    var_alpha(T))`` in the first entry.  Every term of the right-hand side
-    is symmetric entry for entry, so the march keeps G exactly symmetric."""
-    terminal = np.zeros((len(states), len(states)))
-    terminal[0, 0] = -(params.beta0_broker
-                       + params.beta1_broker * var_alpha.at_index(grid.steps))
+def _march(systems, grid: TimeGrid, name: str) -> DeterministicTable:
+    """Backward RK4 march of ``G' = -(S + (G W)(G W)^T + G P9 + P9^T G)`` for
+    every ``(params, trader, var_alpha, states)`` system at once, stacked
+    along the leading axis of a ``(systems, 4, 4)`` state.  A system's terms
+    are zero outside its ``states``, so its ``G`` stays exactly 0 there; each
+    starts from the terminal penalty ``-(beta0 + beta1 var_alpha(T))`` in
+    the q_broker entry.  Every term of the right-hand side is symmetric entry
+    for entry, so the march keeps each G exactly symmetric."""
     lattice = StageLattice(grid, substeps=2, direction="backward")
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, w, p9 = _riccati_terms(
-            *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
-            params, states)
+    shape = (lattice.times.size, len(systems), 4)
+    terminal = np.zeros((len(systems), 4, 4))
+    neg_s, w, p9 = np.zeros(shape + (4,)), np.zeros(shape + (1,)), np.zeros(shape + (4,))
+    for m, (params, trader, var_alpha, states) in enumerate(systems):
+        terminal[m, 0, 0] = -(params.beta0_broker
+                              + params.beta1_broker * var_alpha.at_index(grid.steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, wm, p9m = _riccati_terms(
+                *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
+                params, states)
+        idx = np.array(states)
+        neg_s[:, m, idx[:, None], idx] = -s
+        w[:, m, idx, 0] = wm
+        p9[:, m, idx[:, None], idx] = p9m
     # per-stage lists index faster than arrays
-    neg_s, w, p9 = list(-s), list(w), list(p9)
+    neg_s, w, p9 = list(neg_s), list(w), list(p9)
 
     def rhs(i, g):
-        gw = g.dot(w[i])
-        lin = g.dot(p9[i])
-        return neg_s[i] - gw[:, None] * gw - (lin + lin.T)
+        gw = g @ w[i]
+        lin = g @ p9[i]
+        return neg_s[i] - gw * gw.swapaxes(1, 2) - (lin + lin.swapaxes(1, 2))
 
     return rk4_integrate(rhs, terminal, lattice, name=name)
 
@@ -167,35 +184,56 @@ def _march(params: ModelParams, trader: TraderCoefficients, var_alpha: Determini
 def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
                           var_alpha: DeterministicTable, grid: TimeGrid) -> DeterministicTable:
     """Backward solve of the broker's Riccati restricted to its closed
-    (q_broker, q_trader) block."""
-    return _march(params, trader, var_alpha, grid, _CORNER, "g2_block")
+    (q_broker, q_trader) block: a one-member march."""
+    g = _march([(params, trader, var_alpha, _CORNER)], grid, "g2_block").values
+    return DeterministicTable("g2_block", grid, g[:, 0][:, [[0], [3]], [0, 3]])
 
 
 def solve_broker(params: ModelParams, trader: TraderCoefficients,
                  grid: TimeGrid) -> BrokerCoefficients:
-    """Solve the broker's full coefficient system.
+    """Solve the broker's full coefficient system: ``solve_brokers`` on one
+    parameter set, whose full and restricted systems march together."""
+    return solve_brokers([params], [trader], grid)[0]
 
-    The full 4x4 matrix Riccati is integrated backward, exactly symmetric at
+
+def solve_brokers(params_seq, traders, grid: TimeGrid) -> list:
+    """Solve the broker's coefficient system for each parameter set and its
+    trader, every matrix Riccati in one stacked march.
+
+    Each set's full 4x4 Riccati is integrated backward, exactly symmetric at
     every node, and cross-checked against the same equation restricted to
     the (q_broker, q_trader) block, which is authoritative for the corner
-    entries that enter the control.  A blow-up means the permanent impact is
-    outside the range where the reduced system has a global solution, or the
-    grid step is too coarse for the marches' fixed substeps.
+    entries that enter the control.  A blow-up raises ``ExistenceError``
+    naming the system (full ``broker_g2`` or restricted ``g2_block``) and
+    the parameter set (its index, also ``member``) that became non-finite
+    first: the permanent impact is outside the range
+    where the reduced system has a global solution, or the grid step is too
+    coarse for the march's fixed substeps.
     """
-    var_alpha = solve_price_filter_variance(params, grid)
+    var_alphas = [solve_price_filter_variance(p, grid) for p in params_seq]
+    sets = list(zip(params_seq, traders, var_alphas))
     try:
-        g2_full = _march(params, trader, var_alpha, grid, (0, 1, 2, 3), "broker_g2")
-        g2_block = solve_reduced_riccati(params, trader, var_alpha, grid)
+        g = _march([(*s, states) for s in sets for _, states in _MEMBERS], grid,
+                   "broker_riccati").values
     except IntegrationBlowupError as exc:
+        k, j = divmod(exc.member, len(_MEMBERS))
         raise ExistenceError(
-            f"broker matrix Riccati blow-up ({exc}): either the grid step is too coarse for "
-            "the march's substeps or the permanent impact is outside its admissible range"
-        ) from exc
+            f"broker matrix Riccati blow-up in the '{_MEMBERS[j][0]}' system of parameter "
+            f"set {k} ({exc}): either the grid step is too coarse for the march's substeps "
+            "or the permanent impact is outside its admissible range", k) from exc
+    return [_broker_tables(*s, g[:, 2 * k], g[:, 2 * k + 1], grid) for k, s in enumerate(sets)]
 
-    full = np.array(g2_full.values)
-    block_dev = float(np.max(np.abs(full[:, [[0], [3]], [0, 3]] - g2_block.values)))
+
+def _broker_tables(params: ModelParams, trader: TraderCoefficients,
+                   var_alpha: DeterministicTable, full, block,
+                   grid: TimeGrid) -> BrokerCoefficients:
+    """One parameter set's tables from its marched full and padded
+    restricted matrices."""
+    full = np.array(full)
+    corner = (slice(None), [[0], [3]], [0, 3])
+    block_dev = float(np.max(np.abs(full[corner] - block[corner])))
     # reduced block is authoritative for the entries that feed the control
-    full[:, [[0], [3]], [0, 3]] = g2_block.values
+    full[corner] = block[corner]
     g2 = DeterministicTable("g2", grid, full)
 
     gain = price_filter_gain(var_alpha.values, params) * params.sigma_price

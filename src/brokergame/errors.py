@@ -14,7 +14,13 @@ class TableRangeError(BrokerGameError):
 
 
 class IntegrationBlowupError(BrokerGameError):
-    """An ODE integration produced a non-finite value."""
+    """An ODE integration produced a non-finite value.  ``member`` is the
+    first index along the leading axis of an array state that did (None for a
+    scalar state)."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class ModelInconsistencyError(BrokerGameError):
@@ -26,7 +32,13 @@ class AdmissibilityError(BrokerGameError):
 
 
 class ExistenceError(BrokerGameError):
-    """The matrix Riccati system blew up; no solution on the horizon."""
+    """The matrix Riccati system blew up; no solution on the horizon.
+    ``member`` is the index, in a batched solve, of the parameter set whose
+    system became non-finite first."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class FilterDegeneracyError(BrokerGameError):

@@ -180,7 +180,10 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice,
     lattice starts from ``boundary_value`` at t=0; a backward one stores
     ``boundary_value`` at t=horizon and marches toward t=0 (rhs is the
     ordinary time derivative in both cases; the step is just negated).  A
-    scalar state is carried as a Python float, anything else as an ndarray.
+    scalar state is carried as a Python float, anything else as an ndarray
+    whose leading axis indexes its members (the systems of a stacked state,
+    or the entries of a vector); a blow-up names the first member that
+    became non-finite.
     A scalar ``rhs`` should compute in floats (inputs read from lists, not
     from arrays) and avoid ``**``: float arithmetic overflows to inf, which
     the blow-up check below catches, but ``**`` raises ``OverflowError``.
@@ -205,9 +208,12 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice,
             for j in range(substeps):
                 y = _rk4_step(rhs, 2 * (substeps * k + step * j), step, y, sub)
             if not (math.isfinite(y) if scalar else np.isfinite(y).all()):
+                member = None if scalar else int(np.argmin(
+                    np.isfinite(y).reshape(len(y), -1).all(axis=1)))
+                where = "" if scalar else f" in member {member}"
                 raise IntegrationBlowupError(
-                    f"'{name}' produced a non-finite value at t={grid.times[k + step]:.10g}"
-                )
+                    f"'{name}' produced a non-finite value{where} at "
+                    f"t={grid.times[k + step]:.10g}", member)
             out[k + step] = y
     return DeterministicTable(name, grid, out)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .broker import BrokerCoefficients, solve_broker
+from .broker import BrokerCoefficients, solve_brokers
 from .errors import ValidationError
 from .filters import (FlowFilterCoefficients, flow_filter_coefficients, price_filter_gain,
                       trader_filter_gain)
@@ -41,6 +41,7 @@ __all__ = [
     "StrategyConfig",
     "CoefficientBundle",
     "build_coefficients",
+    "build_bundles",
     "PathResult",
     "simulate_path",
     "simulate_recorded",
@@ -126,11 +127,20 @@ class CoefficientBundle:
 
 def build_coefficients(params: ModelParams, grid: TimeGrid,
                        with_flow: bool = True) -> CoefficientBundle:
-    """Solve every deterministic table needed by the simulator."""
-    trader = solve_trader(params, grid)
-    broker = solve_broker(params, trader, grid)
-    flow = flow_filter_coefficients(trader, params, grid) if with_flow else None
-    return CoefficientBundle(trader, broker, flow)
+    """Solve every deterministic table needed by the simulator: a batch of
+    one of ``build_bundles``."""
+    return build_bundles([params], grid, with_flow)[0]
+
+
+def build_bundles(params_seq, grid: TimeGrid, with_flow: bool = True) -> list:
+    """One ``CoefficientBundle`` per parameter set, with the broker's matrix
+    Riccati of every set solved in one stacked march (``solve_brokers``).
+    Each bundle is bit-identical to the one its set builds alone."""
+    traders = [solve_trader(p, grid) for p in params_seq]
+    brokers = solve_brokers(params_seq, traders, grid)
+    flows = [flow_filter_coefficients(tr, p, grid) if with_flow else None
+             for p, tr in zip(params_seq, traders)]
+    return [CoefficientBundle(*tables) for tables in zip(traders, brokers, flows)]
 
 
 @dataclass
@@ -610,7 +620,7 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
     with the flow filter's tables only for a flow config.  Returns an
     :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
     metric arrays keyed by arm name.  ``threads`` is accepted and ignored
-    until ROADMAP item 4's benchmark change removes it from the workloads.
+    until the benchmark's workloads stop passing it.
     """
     from .analytics import build_experiment_report   # deferred: avoids module cycle
 

@@ -152,8 +152,9 @@ def test_criterion_5_coefficient_properties(params, grid1000, bundle):
 def test_criterion_6_conservation_random_parameters(grid1000, random_params):
     worst_inv = worst_cash = 0.0
     n_sets, paths_per = len(random_params), 40
-    for i, p in enumerate(random_params):
-        b = bg.build_coefficients(p, grid1000)
+    # one batched build: every set's broker Riccati in one stacked march
+    bundles = bg.build_bundles(random_params, grid1000)
+    for i, (p, b) in enumerate(zip(random_params, bundles)):
         tables = _Tables(p, p, b)
         q0, eps = _draw_noise(9000 + i, range(paths_per), grid1000.steps)
         m, _ = _simulate_core(tables, bg.StrategyConfig(), eps, q0, record=False)

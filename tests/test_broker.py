@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import brokergame as bg
-from brokergame.broker import (_p9, _p_matrices, _riccati_terms, _stacked,
+from brokergame.broker import (_march, _p9, _p_matrices, _riccati_terms, _stacked,
                                export_broker_csv, solve_price_filter_variance)
 from brokergame.odes import StageLattice, rk4_integrate
 
@@ -18,6 +18,69 @@ def test_coarse_grid_blowup_names_the_broker_march():
     with pytest.raises(bg.ExistenceError, match="'broker_g2'") as info:
         bg.build_coefficients(bg.DEFAULT_PARAMS, bg.TimeGrid(1.0, 10))
     assert "grid step" in str(info.value) and "permanent impact" in str(info.value)
+
+
+@pytest.mark.parametrize("steps, name, cell, member", [
+    (15, "sigma_speed", r"sigma_speed x 1\.5", 2),
+    (10, "kappa_signal", "base", 0),
+])
+def test_stress_blowup_names_the_cell(params, steps, name, cell, member):
+    # at 15 steps the base cell and sigma_speed x 0.5 solve and x 1.5 blows
+    # up; at 10 steps the base march is non-finite at the first node where
+    # any member is, and as the first member it is named
+    with pytest.raises(bg.ExistenceError, match=f"^stress cell {cell}: .*'broker_g2'") as info:
+        bg.stress_runner(params, {name: [0.5, 1.5]}, bg.TimeGrid(1.0, steps),
+                         bg.StrategyConfig(), 4)
+    assert info.value.member == member and f"parameter set {member}" in str(info.value)
+
+
+def _stress_models(params):
+    return [params] + [params.replace(**{name: getattr(params, name) * mult})
+                       for name in bg.LEARNING_PARAMS for mult in (0.5, 1.5)]
+
+
+def test_batched_build_equals_each_build_alone(params):
+    grid = bg.TimeGrid(1.0, 50)
+    models = _stress_models(params)
+    for batched, model in zip(bg.build_bundles(models, grid), models):
+        alone = bg.build_coefficients(model, grid)
+        for name in ("g2", "g0", "gains", "eigvals", "det_scaled", "var_alpha"):
+            assert np.array_equal(getattr(batched.broker, name).values,
+                                  getattr(alone.broker, name).values), name
+        assert batched.broker.block_dev == alone.broker.block_dev
+
+
+def test_stacked_march_members(params):
+    # the padded restricted member stays exactly 0 outside (q_broker,
+    # q_trader); the full member is the march of one 4x4 state whose
+    # right-hand side is formed from the same terms (bit-identical with
+    # numpy 2.4 on x86-64; the bound allows rounding only)
+    grid = bg.TimeGrid(1.0, 50)
+    systems = []
+    for model in _stress_models(params):
+        trader = bg.solve_trader(model, grid)
+        var_alpha = solve_price_filter_variance(model, grid)
+        systems += [(model, trader, var_alpha, (0, 1, 2, 3)), (model, trader, var_alpha, (0, 3))]
+    g = _march(systems, grid, "stack").values
+    outside = np.ones((4, 4), dtype=bool)
+    outside[np.ix_([0, 3], [0, 3])] = False
+    assert np.all(g[:, 1::2, outside] == 0.0)
+
+    model, trader, var_alpha, states = systems[0]
+    lattice = StageLattice(grid, substeps=2, direction="backward")
+    s, w, p9 = _riccati_terms(*(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3,
+                                                            var_alpha)), model, states)
+
+    def rhs(i, gi):
+        gw = gi @ w[i]
+        lin = gi @ p9[i]
+        return -s[i] - np.outer(gw, gw) - (lin + lin.T)
+
+    terminal = np.zeros((4, 4))
+    terminal[0, 0] = -(model.beta0_broker
+                       + model.beta1_broker * var_alpha.at_index(grid.steps))
+    ref = rk4_integrate(rhs, terminal, lattice).values
+    assert np.abs(g[:, 0] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])

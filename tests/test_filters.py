@@ -116,7 +116,8 @@ def test_flow_tables_read_no_inventory_loading(params, grid200):
 
 def test_build_marches_each_system_once(params, grid200, monkeypatch):
     # the flow filter reads the trader's unit speed response instead of
-    # marching it again
+    # marching it again, and the broker's full and restricted Riccati march
+    # as one stacked state
     integrate = bg.odes.rk4_integrate
     signature = inspect.signature(integrate)
     names = []
@@ -128,7 +129,7 @@ def test_build_marches_each_system_once(params, grid200, monkeypatch):
     for module in (bg.odes, bg.trader, bg.broker):
         monkeypatch.setattr(module, "rk4_integrate", spy)
     bg.build_coefficients(params, grid200)
-    assert names == ["var_nu", "g2", "z", "var_alpha", "broker_g2", "g2_block", "g0", "var_alt"]
+    assert names == ["var_nu", "g2", "z", "var_alpha", "broker_riccati", "g0", "var_alt"]
 
 
 def test_flow_coeffs_horizon_limits(params, bundle, grid1000):

@@ -65,6 +65,17 @@ def test_rk4_blowup_names_time():
         bg.rk4_integrate(lambda i, y: y * y, np.asarray(3.0), StageLattice(g))
 
 
+def test_stacked_blowup_names_the_first_non_finite_member():
+    # y' = y^2 has its pole at t = 1 / y(0): beyond the horizon from 0.5,
+    # at t = 1/3 from 3, so only member 1 blows up
+    g = bg.TimeGrid(1.0, 100)
+    with pytest.raises(IntegrationBlowupError, match="'pair' produced a non-finite value "
+                                                     "in member 1 at t=") as info:
+        bg.rk4_integrate(lambda i, y: y * y, np.array([0.5, 3.0]), StageLattice(g),
+                         name="pair")
+    assert info.value.member == 1
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 @pytest.mark.parametrize("substeps", [1, 4])
 def test_scalar_riccati_float_march_equals_array_march(direction, substeps):

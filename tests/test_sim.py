@@ -583,7 +583,8 @@ def test_numpy_integer_seeds_run_like_ints(params, bundle20):
 
 def test_counts_are_checked_before_any_build(params, monkeypatch):
     builds = []
-    monkeypatch.setattr(bg.sim, "build_coefficients", lambda *args: builds.append(args))
+    for name in ("build_coefficients", "build_bundles"):
+        monkeypatch.setattr(bg.sim, name, lambda *args: builds.append(args))
     sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
     with pytest.raises(bg.ValidationError, match=re.escape("n_paths (0)")):
         bg.stress_runner(params, sweep, bg.TimeGrid(1.0, 1000), bg.StrategyConfig(), 0)
