@@ -50,6 +50,8 @@ STATE_ORDER = ("q_broker", "alpha_hat", "flow", "q_trader")
 _CORNER = (0, 3)
 # each parameter set's members of a stacked march, in order: (name, states)
 _MEMBERS = (("broker_g2", (0, 1, 2, 3)), ("g2_block", _CORNER))
+# the parameters the price-filter variance reads
+_SIGNAL_KEYS = ("sigma_price", "rho", "sigma_signal", "kappa_signal")
 
 
 @dataclass(frozen=True)
@@ -153,23 +155,31 @@ def _march(systems, grid: TimeGrid, name: str) -> DeterministicTable:
     along the leading axis of a ``(systems, 4, 4)`` state.  A system's terms
     are zero outside its ``states``, so its ``G`` stays exactly 0 there; each
     starts from the terminal penalty ``-(beta0 + beta1 var_alpha(T))`` in
-    the q_broker entry.  Every term of the right-hand side is symmetric entry
-    for entry, so the march keeps each G exactly symmetric."""
+    the q_broker entry.  The terms of each ``(params, trader, var_alpha)``
+    are evaluated once, over all four states, and each of its systems reads
+    their restriction to its ``states``.  Every term of the right-hand side
+    is symmetric entry for entry, so the march keeps each G exactly
+    symmetric."""
     lattice = StageLattice(grid, substeps=2, direction="backward")
     shape = (lattice.times.size, len(systems), 4)
     terminal = np.zeros((len(systems), 4, 4))
     neg_s, w, p9 = np.zeros(shape + (4,)), np.zeros(shape + (1,)), np.zeros(shape + (4,))
+    terms = {}      # the full terms of each (params, trader, var_alpha) on the lattice
     for m, (params, trader, var_alpha, states) in enumerate(systems):
         terminal[m, 0, 0] = -(params.beta0_broker
                               + params.beta1_broker * var_alpha.at_index(grid.steps))
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, wm, p9m = _riccati_terms(
-                *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
-                params, states)
+        key = (params, trader, var_alpha)
+        if key not in terms:
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms[key] = _riccati_terms(
+                    *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
+                    params, _MEMBERS[0][1])
+        s, wm, p9m = terms[key]
         idx = np.array(states)
-        neg_s[:, m, idx[:, None], idx] = -s
-        w[:, m, idx, 0] = wm
-        p9[:, m, idx[:, None], idx] = p9m
+        block = (slice(None), idx[:, None], idx)
+        neg_s[:, m, idx[:, None], idx] = -s[block]
+        w[:, m, idx, 0] = wm[:, idx]
+        p9[:, m, idx[:, None], idx] = p9m[block]
     # per-stage lists index faster than arrays
     neg_s, w, p9 = list(neg_s), list(w), list(p9)
 
@@ -198,7 +208,9 @@ def solve_broker(params: ModelParams, trader: TraderCoefficients,
 
 def solve_brokers(params_seq, traders, grid: TimeGrid) -> list:
     """Solve the broker's coefficient system for each parameter set and its
-    trader, every matrix Riccati in one stacked march.
+    trader, every matrix Riccati in one stacked march.  The price-filter
+    variance is solved once per distinct value of the parameters it reads
+    (``_SIGNAL_KEYS``), and the sets that share it share the table.
 
     Each set's full 4x4 Riccati is integrated backward, exactly symmetric at
     every node, and cross-checked against the same equation restricted to
@@ -210,7 +222,12 @@ def solve_brokers(params_seq, traders, grid: TimeGrid) -> list:
     where the reduced system has a global solution, or the grid step is too
     coarse for the march's fixed substeps.
     """
-    var_alphas = [solve_price_filter_variance(p, grid) for p in params_seq]
+    solved, var_alphas = {}, []
+    for p in params_seq:
+        key = tuple(getattr(p, k) for k in _SIGNAL_KEYS)
+        if key not in solved:
+            solved[key] = solve_price_filter_variance(p, grid)
+        var_alphas.append(solved[key])
     sets = list(zip(params_seq, traders, var_alphas))
     try:
         g = _march([(*s, states) for s in sets for _, states in _MEMBERS], grid,

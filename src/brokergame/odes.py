@@ -11,10 +11,10 @@ by linear interpolation at the lattice times, and its right-hand side reads
 entry ``i`` of that array.  The linear interpolation makes the solved tables
 second order in ``dt``, not fourth.
 
-A scalar state is marched as a Python float, which rounds as float64 does
-at a fraction of a numpy scalar's cost per operation; a scalar right-hand
-side should read its inputs from lists (one ``array.tolist()`` per solve),
-not from arrays.
+A scalar state is marched as a Python float, and a state given as a list as
+a list of floats: a float rounds as float64 does at a fraction of a numpy
+scalar's cost per operation.  Such a right-hand side should read its inputs
+from lists (one ``array.tolist()`` per solve), not from arrays.
 """
 
 from __future__ import annotations
@@ -172,6 +172,19 @@ def _rk4_step(rhs, i, di, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_list_step(rhs, i, di, y, h):
+    """``_rk4_step`` on a list of floats, entry by entry in the same order of
+    operations, so it rounds as the array step does."""
+    hh = 0.5 * h
+    k1 = rhs(i, y)
+    k2 = rhs(i + di, [a + hh * b for a, b in zip(y, k1)])
+    k3 = rhs(i + di, [a + hh * b for a, b in zip(y, k2)])
+    k4 = rhs(i + 2 * di, [a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
 def rk4_integrate(rhs, boundary_value, lattice: StageLattice,
                   name: str = "rk4") -> DeterministicTable:
     """Integrate y' = rhs(i, y) over ``lattice.grid`` with classical RK4.
@@ -180,11 +193,12 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice,
     lattice starts from ``boundary_value`` at t=0; a backward one stores
     ``boundary_value`` at t=horizon and marches toward t=0 (rhs is the
     ordinary time derivative in both cases; the step is just negated).  A
-    scalar state is carried as a Python float, anything else as an ndarray
-    whose leading axis indexes its members (the systems of a stacked state,
-    or the entries of a vector); a blow-up names the first member that
-    became non-finite.
-    A scalar ``rhs`` should compute in floats (inputs read from lists, not
+    scalar state is carried as a Python float, a list as a list of floats
+    (``rhs`` takes and returns a sequence of floats), anything else as an
+    ndarray; the leading axis of a vector or array indexes its members (the
+    systems of a stacked state, or the entries of a vector), and a blow-up
+    names the first member that became non-finite.
+    A float ``rhs`` should compute in floats (inputs read from lists, not
     from arrays) and avoid ``**``: float arithmetic overflows to inf, which
     the blow-up check below catches, but ``**`` raises ``OverflowError``.
 
@@ -198,7 +212,11 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice,
     out = np.empty((grid.steps + 1,) + y.shape, dtype=float)
     scalar = y.ndim == 0
     if scalar:
-        y = float(y)
+        y, advance, finite = float(y), _rk4_step, math.isfinite
+    elif isinstance(boundary_value, list):
+        y, advance, finite = y.tolist(), _rk4_list_step, lambda v: all(map(math.isfinite, v))
+    else:
+        advance, finite = _rk4_step, lambda v: np.isfinite(v).all()
     start, step = (0, 1) if lattice.direction == "forward" else (grid.steps, -1)
     sub = step * grid.dt / substeps
     out[start] = y
@@ -206,10 +224,10 @@ def rk4_integrate(rhs, boundary_value, lattice: StageLattice,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(start, start + step * grid.steps, step):
             for j in range(substeps):
-                y = _rk4_step(rhs, 2 * (substeps * k + step * j), step, y, sub)
-            if not (math.isfinite(y) if scalar else np.isfinite(y).all()):
+                y = advance(rhs, 2 * (substeps * k + step * j), step, y, sub)
+            if not finite(y):
                 member = None if scalar else int(np.argmin(
-                    np.isfinite(y).reshape(len(y), -1).all(axis=1)))
+                    np.isfinite(np.asarray(y)).reshape(len(y), -1).all(axis=1)))
                 where = "" if scalar else f" in member {member}"
                 raise IntegrationBlowupError(
                     f"'{name}' produced a non-finite value{where} at "

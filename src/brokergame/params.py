@@ -96,7 +96,9 @@ class ModelParams:
 
     def digest(self) -> str:
         """Stable short hash of the parameter set (report metadata)."""
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
+        # the fields are floats: vars() writes the JSON of asdict() without
+        # its deep copy
+        blob = json.dumps(vars(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

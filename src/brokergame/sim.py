@@ -5,13 +5,21 @@ both cash accounts and the estimators, with controls held constant over each
 interval and computed from left-endpoint states.  Each estimator's update is
 folded, once per call, into a one-step affine map ``x' = c[k] x + gain[k]
 obs_k`` on its observation, and the broker's own flows are formed once for
-her account and the book.  The step loop is bound by the count of numpy calls
-per step, not by their size, so it forms only what the arm reads: the
-broker's filters run only when the rule reads a signal estimate or the series
-are recorded, and their diagnostics come from the records.  Paths are
-vectorised, and every path owns its own seeded random stream so results are
-independent of chunking; the streams are drawn in blocks of paths into one
-time-major buffer.
+her account and the book.  At a few hundred paths the step loop is bound by
+the count of numpy calls per step, at a few thousand by the bytes they move.
+So it forms only what the arm reads: each of the broker's estimates runs only
+where the rule reads it or the series are recorded, and their diagnostics
+come from the records.  And quantities of one shape sit in ``(rows, paths)``
+blocks, so that one call forms the dt products, the absolute traded rates,
+the three trade costs or the loaded noise.  A block's per-row constants are
+spread to full shape rather than broadcast as a column, which numpy runs
+several times slower, and each value is formed with the operations of the
+row-by-row step, in its order, so the results are bit-identical to it.  The
+step stays elementwise: a BLAS matrix product rounds a path's values
+differently with the width of its chunk.  Paths are vectorised, and every
+path owns its own seeded random stream so results are independent of
+chunking; the streams are drawn in blocks of paths into one time-major
+buffer.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -134,9 +142,12 @@ def build_coefficients(params: ModelParams, grid: TimeGrid,
 
 def build_bundles(params_seq, grid: TimeGrid, with_flow: bool = True) -> list:
     """One ``CoefficientBundle`` per parameter set, with the broker's matrix
-    Riccati of every set solved in one stacked march (``solve_brokers``).
-    Each bundle is bit-identical to the one its set builds alone."""
-    traders = [solve_trader(p, grid) for p in params_seq]
+    Riccati of every set solved in one stacked march (``solve_brokers``) and
+    each scalar Riccati once per distinct value of the parameters it reads,
+    its table shared by the sets that read it.  Each bundle is bit-identical
+    to the one its set builds alone."""
+    solved = {}
+    traders = [solve_trader(p, grid, solved) for p in params_seq]
     brokers = solve_brokers(params_seq, traders, grid)
     flows = [flow_filter_coefficients(tr, p, grid) if with_flow else None
              for p, tr in zip(params_seq, traders)]
@@ -293,42 +304,48 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     m = eps.shape[1]
     if config.signal_source == "flow" and tables.inv_scale is None:
         raise ValidationError("signal_source='flow' requires flow-filter coefficients")
-    # the flow filter runs only where its estimate is read or recorded
-    has_flow = tables.inv_scale is not None and (record or config.signal_source == "flow")
     init = init or {}
     unknown = sorted(set(init) - set(INIT_STATES))
     if unknown:
         raise ValidationError(f"init names no state: {unknown}; states are {INIT_STATES}")
     rule = _broker_rule(tables, config).T
-    # the rate sums only the state columns the rule ever reads; the broker's
-    # filters run when the rule reads the signal estimate or the series are
-    # recorded
+    # the rate sums only the state columns the rule ever reads; each of the
+    # broker's estimates (price filter, flow filter, naive readout) runs only
+    # where the rule reads it or the series are recorded, and the flow filter
+    # and the naive readout share the client's rate net of its believed
+    # inventory loading, gamma
     active = [j for j in range(5) if rule[j].any()]
-    observe = record or 1 in active
     source = SIGNAL_SOURCES.index(config.signal_source)
+    run_price, run_flow, run_naive = (record or (1 in active and source == j) for j in range(3))
+    run_flow = run_flow and tables.inv_scale is not None
+    need_gamma = run_flow or run_naive
 
-    # constants folded once per call: noise loadings sigma*sqrt(dt) (the
-    # signal's two carry rho and rho_c), decays 1 - kappa*dt, impact per step
+    # constants folded once per call: noise loadings sigma*sqrt(dt) of
+    # (price, signal, flow) (the signal's price-noise loading, nonzero when
+    # rho != 0, is applied on its own), decays 1 - kappa*dt of (flow,
+    # signal), impact per step, and the cost coefficients of (eta, nu,
+    # flow).  A per-row constant is spread over the paths: numpy's
+    # same-shape loops are several times faster than broadcasting a column
     sqdt = math.sqrt(dt)
     rho_c = math.sqrt(max(0.0, 1.0 - p.rho * p.rho))
-    load_price = p.sigma_price * sqdt
+    spread = lambda *rows: np.repeat(np.array(rows)[:, None], m, axis=1)
+    loads = spread(p.sigma_price * sqdt, p.sigma_signal * rho_c * sqdt, p.sigma_flow * sqdt)
     load_sig0 = p.sigma_signal * p.rho * sqdt
-    load_sig1 = p.sigma_signal * rho_c * sqdt
-    load_flow = p.sigma_flow * sqdt
-    decay_sig = 1.0 - p.kappa_signal * dt
-    decay_flow = 1.0 - p.kappa_flow * dt
+    decay = spread(1.0 - p.kappa_flow * dt, 1.0 - p.kappa_signal * dt)
     impact_dt = p.perm_impact * dt
+    cost_coef = spread(p.fee_informed, p.temp_impact, p.fee_uninformed)
     f1, f2, f3 = tables.f1, tables.f2, tables.f3
     f3b = tables.f3_belief
-    # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k; the
-    # speed filter observes dy, the price filter dz = dprice - impact_dt nu,
-    # the flow filter ztil' - (1 + g6 dt) ztil - g9 dt nu
+    # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k: the
+    # speed filter observes dy = dprice - signal dt, the price filter dz =
+    # dprice - impact_dt nu and the flow filter ztil' - (1 + g6 dt) ztil -
+    # g9 dt nu
     c_nu = 1.0 - tables.theta_trader * dt - tables.gain_nu * impact_dt
     gain_nu = tables.gain_nu
     kappa_dt = tables.kappa_model * dt
     c_price = 1.0 - kappa_dt - tables.gain_price * dt
     gain_price = tables.gain_price
-    if has_flow:
+    if run_flow:
         c_flow = 1.0 - kappa_dt - tables.gain_flow * tables.g7 * dt
         gain_flow, inv_scale = tables.gain_flow, tables.inv_scale
         carry_ztil = 1.0 + tables.g6 * dt
@@ -345,35 +362,51 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             raise ValidationError(f"init[{key!r}] must be a number, got {value!r}") from None
 
     price = full("price", p.price_init)
-    signal = full("signal", p.signal_init)
-    flow = full("flow", 0.0)
-    # each side's account is one (2, paths) array of (inventory, cash), so a
+    price_next = np.empty(m)
+    # (eta, nu, flow, signal): one call forms their dt products, one the
+    # absolute values of the traded rates (eta, nu, flow) and one decays
+    # (flow, signal); the broker's rate nu is formed at the top of each step
+    x = np.empty((4, m))
+    eta, nu, flow, signal = x
+    flow_signal = x[2:]
+    flow[:] = full("flow", 0.0)
+    signal[:] = full("signal", p.signal_init)
+    # each side's account is one (2, paths) array of (cash, inventory), so a
     # client trade, the broker's own flows and the conservation gaps each
     # take one call for both rows
-    acct_b = np.stack([full("q_broker", 0.0), full("cash_broker", 0.0)])
-    acct_i = np.stack([full("q_trader", 0.0), full("cash_trader", 0.0)])
-    q_b, x_b = acct_b
-    q_i, x_i = acct_i
+    acct_b = np.stack([full("cash_broker", 0.0), full("q_broker", 0.0)])
+    acct_i = np.stack([full("cash_trader", 0.0), full("q_trader", 0.0)])
+    x_b, q_b = acct_b
+    x_i, q_i = acct_i
     if config.mispecify_qi:
         q_i += q0_draw
     q_ib = full("q_trader_belief", 0.0)
     nu_hat = full("nu_hat", 0.0)
     a_price = full("alpha_hat_price", 0.0)
     a_flow = full("alpha_hat_flow", 0.0)
-    # estimates that do not move enter the blow-up probe only if they start
-    # non-finite
-    probe_estimates = observe or not np.isfinite(a_price + a_flow).all()
+    # an estimate enters the blow-up probe where its filter runs; one that
+    # does not move enters only if it starts non-finite
+    probed = [a for a, runs in ((a_price, run_price), (a_flow, run_flow))
+              if runs or not np.isfinite(a).all()]
 
     # what acct_b + acct_i must equal: the starting books plus the integral
-    # of the broker's own flow, (nu - xi, cost_xi - cost_nu)
+    # of the broker's own flow, (cost_xi - cost_nu, nu - xi)
     book = acct_b + acct_i
     gaps = np.zeros((2, m))            # running max of |acct_b + acct_i - book|
     gap = np.empty((2, m))
     own = np.empty((2, m))             # the broker's own flow over a step
-    client = np.empty((2, m))          # the client's (eta dt, -cost_eta) over a step
+    # one step's flows by row: 0 the client's payment -cost_eta, 1-4 (eta,
+    # nu, flow, signal) dt, 5-7 the costs (coef r + price) r dt of r = eta,
+    # nu, flow, 8 impact_dt nu.  Rows 0-1 are the client's flow, (-cost_eta,
+    # eta dt), which enters his account and leaves hers; every block a call
+    # reads is contiguous, which numpy runs faster than strided rows
+    flows = np.empty((9, m))
+    client, x_dt, costs, impact = flows[0:2], flows[1:5], flows[5:8], flows[8]
+    shocks = np.empty((3, m))          # noise times its loading, (price, signal, flow)
+    dprice = np.empty(m)
+    obs = np.empty(m)
     notional = np.zeros(m)             # sum of traded value, trapezoid weights
     traded = np.empty(m)
-    temp = np.empty(m)
     probe = np.empty(m)
     blown = np.zeros(m, dtype=bool)
     blow_step = np.full(m, -1, dtype=np.int64)
@@ -382,20 +415,20 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     if record:
         rec = {name: np.zeros((n_steps + 1, m)) for name in RECORD_SERIES}
 
-    eta = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
+    eta[:] = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
     a_naive = gamma = ztil = None
-    if observe:
+    if need_gamma:
         gamma = eta - f3b[0] * q_ib
-        if has_flow:
+        if run_flow:
             ztil = gamma * inv_scale[0]
     noise = eps.transpose(0, 2, 1)     # (steps, 3, paths)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            if observe:
+            if run_naive:
                 a_naive = gamma * inv_f1b_c[k]
             y = (q_b, (a_price, a_flow, a_naive)[source], flow, q_ib, eta)
-            nu = rule[active[0], k] * y[active[0]]
+            np.multiply(rule[active[0], k], y[active[0]], out=nu)
             for j in active[1:]:
                 nu += rule[j, k] * y[j]
 
@@ -408,9 +441,10 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 for name, value in now.items():
                     rec[name][k] = value
 
-            np.abs(nu, out=traded)
-            traded += np.abs(eta, out=temp)
-            traded += np.abs(flow, out=temp)
+            # |eta| + |nu| + |flow|, summed row by row in that order; the
+            # cost rows, formed later in the step, hold the absolute values
+            np.abs(x[:3], out=costs)
+            np.add.reduce(costs, axis=0, out=traded)
             traded *= price
             if 0 < k < n_steps:
                 notional += traded
@@ -420,62 +454,48 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             if k == n_steps:
                 break
 
-            e_price, e_sig, e_flow = noise[k]
-            nu_dt = nu * dt
-            eta_dt = np.multiply(eta, dt, out=client[0])
-            flow_dt = flow * dt
-            signal_dt = signal * dt
-
-            # flows of the interval, each cost already times dt.  client =
-            # (eta dt, -cost_eta) enters the client's account and leaves the
-            # broker's; own = (nu dt - xi dt, cost_xi - cost_nu), her lit
-            # trades and the noise flow, enters her account and the book alike
-            pay = np.multiply(eta, -p.fee_informed, out=client[1])
-            pay -= price
-            pay *= eta_dt
-            cost_nu = p.temp_impact * nu
-            cost_nu += price
-            cost_nu *= nu_dt
-            own_x = np.multiply(flow, p.fee_uninformed, out=own[1])
-            own_x += price
-            own_x *= flow_dt
-            own_x -= cost_nu
-            np.subtract(nu_dt, flow_dt, out=own[0])
+            np.multiply(loads, noise[k], out=shocks)
+            np.multiply(x, dt, out=x_dt)
+            np.multiply(nu, impact_dt, out=impact)
+            np.multiply(cost_coef, x[:3], out=costs)
+            costs += price
+            costs *= x_dt[:3]
+            np.negative(costs[0], out=client[0])
+            np.subtract(costs[2], costs[1], out=own[0])
+            np.subtract(x_dt[1], x_dt[2], out=own[1])
             acct_b += own
             acct_b -= client
             acct_i += client
             book += own
-            q_ib += eta_dt
+            q_ib += x_dt[0]
 
-            price_new = impact_dt * nu
-            price_new += price
-            price_new += signal_dt
-            price_new += load_price * e_price
-            dprice = price_new - price
-            dy = dprice - signal_dt
+            np.add(impact, price, out=price_next)
+            price_next += x_dt[3]
+            price_next += shocks[0]
+            np.subtract(price_next, price, out=dprice)
+            price, price_next = price_next, price
+            np.subtract(dprice, x_dt[3], out=obs)
+            obs *= gain_nu[k]
             nu_hat *= c_nu[k]
-            dy *= gain_nu[k]
-            nu_hat += dy
-            price = price_new
-            signal *= decay_sig
+            nu_hat += obs
+            if run_price:
+                np.subtract(dprice, impact, out=obs)
+                obs *= gain_price[k]
+                a_price *= c_price[k]
+                a_price += obs
+            flow_signal *= decay
             if load_sig0:                  # the signal loads on price noise when rho != 0
-                signal += load_sig0 * e_price
-            signal += load_sig1 * e_sig
-            flow *= decay_flow
-            flow += load_flow * e_flow
+                signal += load_sig0 * noise[k, 0]
+            signal += shocks[1]
+            flow += shocks[2]
 
-            eta = f1[k + 1] * signal
+            np.multiply(f1[k + 1], signal, out=eta)
             eta += f2[k + 1] * nu_hat
             eta += f3[k + 1] * q_i
-            if observe:
-                dz = impact_dt * nu
-                np.subtract(dprice, dz, out=dz)
-                dz *= gain_price[k]
-                a_price *= c_price[k]
-                a_price += dz
+            if need_gamma:
                 gamma = f3b[k + 1] * q_ib
                 np.subtract(eta, gamma, out=gamma)
-                if has_flow:
+                if run_flow:
                     ztil_next = gamma * inv_scale[k + 1]
                     innov = ztil_next - carry_ztil[k] * ztil
                     innov -= g9_dt[k] * nu
@@ -495,9 +515,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             np.add(gap[0], gap[1], out=probe)
             probe += price
             probe += nu_hat
-            if probe_estimates:
-                probe += a_price
-                probe += a_flow
+            for estimate in probed:
+                probe += estimate
             if not math.isfinite(probe.sum()):
                 fresh = ~np.isfinite(probe) & ~blown
                 blow_step[fresh] = k + 1
@@ -513,8 +532,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         "notional": notional,
         "blown": blown,
         "blow_step": blow_step,
-        "max_inventory_gap": gaps[0],
-        "max_cash_gap": gaps[1],
+        "max_inventory_gap": gaps[1],
+        "max_cash_gap": gaps[0],
     }
     return metrics, rec
 

@@ -61,6 +61,12 @@ def _impact_ratio(params: ModelParams) -> float:
     return params.perm_impact / params.sigma_price
 
 
+# the parameters the speed-filter variance reads, and those the inventory
+# coefficient reads on top of that variance
+_SPEED_KEYS = ("perm_impact", "sigma_price", "theta_speed", "sigma_speed")
+_INVENTORY_KEYS = _SPEED_KEYS + ("fee_informed", "beta0_trader", "beta1_trader",
+                                 "phi0_trader", "phi1_trader")
+
 # classical RK4 damps y' = -rate y for step * rate up to about 2.785
 RK4_STABLE_STEP = 2.78
 # substeps per grid step past which a stiff march is left to fail with the
@@ -123,17 +129,11 @@ def solve_inventory_coeff(params: ModelParams, var_nu: DeterministicTable,
     return g2
 
 
-def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
-                        var_nu: DeterministicTable, grid: TimeGrid):
-    """Backward triangular system for the eight linear/value coefficients.
-
-    Solved jointly as one vector ODE; the right-hand side is triangular in
-    the order z1,z2 -> z6,z7,z8 -> z4,z5 -> z3, so stage values stay
-    consistent without intermediate interpolation.  The march carries the
-    speed response per unit of impact, ``unit``, and forms ``z2 =
-    perm_impact * unit`` from it; the flow filter divides by ``unit``, which
-    stays positive at zero impact.  Returns the tables z1..z8 and ``unit``.
-    """
+def _z_system(params: ModelParams, g2: DeterministicTable, var_nu: DeterministicTable,
+              grid: TimeGrid):
+    """The backward march of the eight linear coefficients: its lattice and
+    its right-hand side, which takes and returns a list of floats ``(z1,
+    unit, z3, ..., z8)``."""
     p = params.perm_impact
     b = params.fee_informed
     ka = params.kappa_signal
@@ -154,40 +154,71 @@ def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
         rv = ratio * v
         rv2 = rv * rv
     g2s, cross, rv2 = g2s.tolist(), cross.tolist(), rv2.tolist()
+    b2, b4, kt, ka2, th2, sa2 = 2.0 * b, 4.0 * b, ka + th, 2.0 * ka, 2.0 * th, sa * sa
 
     def rhs(i, z):
-        z1, u, z3, z4, z5, z6, z7, z8 = z.tolist()
+        z1, u, z3, z4, z5, z6, z7, z8 = z
         z2 = p * u
         g = g2s[i]
-        return np.array([
-            ka * z1 - g * z1 / (2.0 * b) - 1.0,
-            th * u - g * u / (2.0 * b) - 1.0,
-            -cross[i] * z6 - sa * sa * z7 - rv2[i] * z8,
-            ka * z4 - g * z1 / (2.0 * b),
-            th * z5 - g * z2 / (2.0 * b),
-            (ka + th) * z6 - z1 * z2 / (2.0 * b),
-            2.0 * ka * z7 - z1 * z1 / (4.0 * b),
-            2.0 * th * z8 - z2 * z2 / (4.0 * b),
-        ])
+        gz1 = g * z1 / b2
+        return [
+            ka * z1 - gz1 - 1.0,
+            th * u - g * u / b2 - 1.0,
+            -cross[i] * z6 - sa2 * z7 - rv2[i] * z8,
+            ka * z4 - gz1,
+            th * z5 - g * z2 / b2,
+            kt * z6 - z1 * z2 / b2,
+            ka2 * z7 - z1 * z1 / b4,
+            th2 * z8 - z2 * z2 / b4,
+        ]
 
-    sol = rk4_integrate(rhs, np.zeros(8), lattice, name="z").values
+    return rhs, lattice
+
+
+def solve_linear_coeffs(params: ModelParams, g2: DeterministicTable,
+                        var_nu: DeterministicTable, grid: TimeGrid):
+    """Backward triangular system for the eight linear/value coefficients.
+
+    Solved jointly as one vector ODE, marched on Python floats; the
+    right-hand side is triangular in the order z1,z2 -> z6,z7,z8 -> z4,z5 ->
+    z3, so stage values stay consistent without intermediate interpolation.
+    The march carries the speed response per unit of impact, ``unit``, and
+    forms ``z2 = perm_impact * unit`` from it; the flow filter divides by
+    ``unit``, which stays positive at zero impact.  Returns the tables
+    z1..z8 and ``unit``.
+    """
+    rhs, lattice = _z_system(params, g2, var_nu, grid)
+    sol = rk4_integrate(rhs, [0.0] * 8, lattice, name="z").values
     unit = DeterministicTable("unit", grid, sol[:, 1])
     z = sol.copy()   # the unit table keeps a view of sol
-    z[:, 1] *= p
+    z[:, 1] *= params.perm_impact
     tables = tuple(DeterministicTable(f"z{i + 1}", grid, z[:, i]) for i in range(8))
     if np.any(z[:, 0] < -1e-12) or np.any(z[:, 1] < -1e-12):
         raise ModelInconsistencyError("z1 and z2 must be non-negative on the grid")
     return tables, unit
 
 
-def solve_trader(params: ModelParams, grid: TimeGrid) -> TraderCoefficients:
+def solve_trader(params: ModelParams, grid: TimeGrid,
+                 solved: dict | None = None) -> TraderCoefficients:
     """Solve the full trader system and derive the feedback loadings f1, f2, f3.
+
+    ``solved`` shares the scalar Riccati tables across the parameter sets of
+    one batch: the caller passes the same dict to every call, and ``var_nu``
+    and ``g2`` are each solved once per distinct value of the parameters
+    they read (``_SPEED_KEYS``, ``_INVENTORY_KEYS``) and the grid.
 
     The broker's matrix Riccati is only well-posed when 1 + fee_informed*f3 > 0
     on the whole grid; a violation raises ``AdmissibilityError``.
     """
-    var_nu = solve_speed_filter_variance(params, grid)
-    g2 = solve_inventory_coeff(params, var_nu, grid)
+    solved = {} if solved is None else solved
+    speed = ("var_nu", grid, *(getattr(params, k) for k in _SPEED_KEYS))
+    if speed not in solved:
+        solved[speed] = solve_speed_filter_variance(params, grid)
+    var_nu = solved[speed]
+    inventory = ("g2", grid, *(getattr(params, k) for k in _INVENTORY_KEYS))
+    if inventory not in solved:
+        solved[inventory] = solve_inventory_coeff(params, var_nu, grid)
+    g2 = solved[inventory]
     z, unit = solve_linear_coeffs(params, g2, var_nu, grid)
     b = params.fee_informed
     f1 = DeterministicTable("f1", grid, z[0].values / (2.0 * b))

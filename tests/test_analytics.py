@@ -489,6 +489,31 @@ def test_stress_runner_shares_noise_and_true_trader(params, monkeypatch):
     assert seen["arms"] == 3 * (list(BROKER_MODES) + ["optimal"] * 8)
 
 
+def test_stress_report_equals_one_report_per_cell(params):
+    # the sweep forms its benchmark arms' statistics once for all its
+    # reports; the JSON is byte for byte the one assembled from one
+    # build_experiment_report call per cell on the same arms
+    sweep = {name: [0.5, 1.5] for name in bg.LEARNING_PARAMS}
+    grid, config, n_paths = bg.TimeGrid(1.0, 50), bg.StrategyConfig(seed=23), 30
+    swept = bg.stress_runner(params, sweep, grid, config, n_paths, chunk_size=13)
+    base = bg.build_coefficients(params, grid, with_flow=False)
+    _, base_arms = bg.run_experiment(params, grid, config, n_paths, bundle=base)
+    q0, eps = _draw_noise(config.seed, range(n_paths), grid.steps)
+    cells = []
+    for name, multipliers in sweep.items():
+        for mult in multipliers:
+            model = params.replace(**{name: getattr(params, name) * mult})
+            tables = _Tables(params, model, bg.build_coefficients(model, grid, with_flow=False),
+                             trader_true=base.trader)
+            optimal, _ = _simulate_core(tables, config, eps, q0, record=False)
+            report = analytics.build_experiment_report(
+                {**base_arms, "optimal": optimal}, params=params, model_params=model, config=config)
+            cells.append(bg.StressCell(name, mult, report))
+    report = analytics.build_experiment_report(base_arms, params=params, model_params=params,
+                                               config=config)
+    assert bg.stress_to_json(swept) == bg.stress_to_json(bg.StressReport(report, tuple(cells)))
+
+
 @pytest.mark.parametrize("source, builds", [("price", 0), ("naive", 0), ("flow", 9)])
 def test_stress_runner_builds_flow_tables_only_for_flow_cells(params, monkeypatch,
                                                               source, builds):

@@ -52,3 +52,28 @@ def test_arm_metrics_keep_the_keys_the_benchmark_reads():
 def test_block_dev_is_a_finite_float():
     block_dev = bg.build_coefficients(bg.DEFAULT_PARAMS, bg.TimeGrid(1.0, 50)).broker.block_dev
     assert isinstance(block_dev, float) and math.isfinite(block_dev)
+
+
+def test_traced_runs_count_every_path_step():
+    # the traced run binds the step loop's config, eps and record to name its
+    # spans and count its path steps; a step loop it cannot bind would leave
+    # the traced stress sweep's conservation-gap gate empty
+    tracing = _tracing()
+    params, grid = bg.DEFAULT_PARAMS, bg.TimeGrid(1.0, 50)
+    bundle = bg.build_coefficients(params, grid)
+    runs = (
+        (4 * 6, lambda: bg.sim.run_experiment(params, grid, bg.StrategyConfig(signal_source="flow"),
+                                              6, base_seed=3, bundle=bundle, chunk_size=4)),
+        ((4 + 2) * 5, lambda: bg.analytics.stress_runner(params, {"kappa_signal": [0.5, 1.5]},
+                                                         grid, bg.StrategyConfig(), 5,
+                                                         base_seed=3)),
+    )
+    for path_arms, run in runs:
+        tracer = tracing.Tracer()
+        with tracer.hooks():
+            run()
+        assert not tracer.broken
+        assert tracer.counts["sim.path_steps"] == path_arms * grid.steps
+        metrics = tracer.metrics()
+        assert all(metrics[f"sim.step_loop_s.{arm}"] > 0.0 for arm in tracing.ARMS)
+        assert tracer.health["max_inventory_gap"] < 1e-8

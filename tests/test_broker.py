@@ -42,12 +42,26 @@ def _stress_models(params):
 def test_batched_build_equals_each_build_alone(params):
     grid = bg.TimeGrid(1.0, 50)
     models = _stress_models(params)
-    for batched, model in zip(bg.build_bundles(models, grid), models):
+    bundles = bg.build_bundles(models, grid)
+    trader_tables = ("var_nu", "g2", *(f"z{i}" for i in range(1, 9)), "f1", "f2", "f3", "unit")
+    for batched, model in zip(bundles, models):
         alone = bg.build_coefficients(model, grid)
+        for name in trader_tables:
+            assert np.array_equal(getattr(batched.trader, name).values,
+                                  getattr(alone.trader, name).values), name
         for name in ("g2", "g0", "gains", "eigvals", "det_scaled", "var_alpha"):
             assert np.array_equal(getattr(batched.broker, name).values,
                                   getattr(alone.broker, name).values), name
         assert batched.broker.block_dev == alone.broker.block_dev
+    # each scalar Riccati is solved once per distinct value of the parameters
+    # it reads: the signal cells share the base set's var_nu and g2, the
+    # speed cells its var_alpha, and nothing else is shared
+    base = bundles[0]
+    for name, batched in zip([n for n in bg.LEARNING_PARAMS for _ in (0.5, 1.5)], bundles[1:]):
+        signal_cell = name in ("kappa_signal", "sigma_signal")
+        assert (batched.trader.var_nu is base.trader.var_nu) == signal_cell, name
+        assert (batched.trader.g2 is base.trader.g2) == signal_cell, name
+        assert (batched.broker.var_alpha is base.broker.var_alpha) == (not signal_cell), name
 
 
 def test_stacked_march_members(params):

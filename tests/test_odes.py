@@ -67,13 +67,15 @@ def test_rk4_blowup_names_time():
 
 def test_stacked_blowup_names_the_first_non_finite_member():
     # y' = y^2 has its pole at t = 1 / y(0): beyond the horizon from 0.5,
-    # at t = 1/3 from 3, so only member 1 blows up
+    # at t = 1/3 from 3, so only member 1 blows up, on an array state and
+    # on a list state (marched as a list of floats) alike
     g = bg.TimeGrid(1.0, 100)
-    with pytest.raises(IntegrationBlowupError, match="'pair' produced a non-finite value "
-                                                     "in member 1 at t=") as info:
-        bg.rk4_integrate(lambda i, y: y * y, np.array([0.5, 3.0]), StageLattice(g),
-                         name="pair")
-    assert info.value.member == 1
+    for boundary, rhs in ((np.array([0.5, 3.0]), lambda i, y: y * y),
+                          ([0.5, 3.0], lambda i, y: [v * v for v in y])):
+        with pytest.raises(IntegrationBlowupError, match="'pair' produced a non-finite value "
+                                                         "in member 1 at t=") as info:
+            bg.rk4_integrate(rhs, boundary, StageLattice(g), name="pair")
+        assert info.value.member == 1
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])

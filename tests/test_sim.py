@@ -668,6 +668,23 @@ def test_unread_flow_filter_does_not_run(params, grid200, bundle200, source):
         assert np.array_equal(runs[0][key], value), key
 
 
+@pytest.mark.parametrize("source", ["flow", "naive"])
+def test_unread_price_filter_does_not_run(params, grid200, bundle200, source):
+    # a flow or naive arm neither reads nor records the price estimate, so a
+    # broken price-filter variance must not reach its blow-up probe or its
+    # metrics
+    broken = replace(bundle200.broker, var_alpha=bg.DeterministicTable(
+        "var_alpha", grid200, np.full(grid200.steps + 1, np.nan)))
+    q0, eps = _draw_noise(3, range(8), grid200.steps)
+    config = bg.StrategyConfig(signal_source=source)
+    runs = [_simulate_core(_Tables(params, params, replace(bundle200, broker=broker)), config,
+                           eps, q0, record=False)[0]
+            for broker in (broken, bundle200.broker)]
+    assert not runs[0]["blown"].any()
+    for key, value in runs[1].items():
+        assert np.array_equal(runs[0][key], value), key
+
+
 def _books(p, metrics, q0, config):
     """Each side's wealth less its starting book marked at the first price."""
     q_trader0 = q0 if config.mispecify_qi else 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import brokergame as bg
-from brokergame.trader import (export_trader_csv, solve_inventory_coeff,
+from brokergame.trader import (_z_system, export_trader_csv, solve_inventory_coeff,
                                solve_linear_coeffs, solve_speed_filter_variance)
 
 from oracles import riccati_constant_solution
@@ -161,3 +161,21 @@ def test_stiff_g2_march_still_fails_with_the_blowup_error(grid200):
     var_nu = solve_speed_filter_variance(p, grid200)
     with pytest.raises(bg.IntegrationBlowupError, match="g2"):
         solve_inventory_coeff(p, var_nu, grid200)
+
+
+@pytest.mark.parametrize("steps", [50, 1000])
+def test_z_float_march_equals_array_march(params, steps):
+    # the z system is marched on a list of floats, which round as numpy
+    # does: the same right-hand side on an array state gives the same bytes,
+    # on the default set and on each stressed set of the stress sweep
+    grid = bg.TimeGrid(1.0, steps)
+    models = [params] + [params.replace(**{name: getattr(params, name) * mult})
+                         for name in bg.LEARNING_PARAMS for mult in (0.5, 1.5)]
+    for model in models:
+        var_nu = solve_speed_filter_variance(model, grid)
+        g2 = solve_inventory_coeff(model, var_nu, grid)
+        rhs, lattice = _z_system(model, g2, var_nu, grid)
+        floats = bg.rk4_integrate(rhs, [0.0] * 8, lattice).values
+        arrays = bg.rk4_integrate(lambda i, z: np.array(rhs(i, z.tolist())), np.zeros(8),
+                                  lattice).values
+        assert floats.tobytes() == arrays.tobytes(), model
