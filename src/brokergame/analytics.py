@@ -72,18 +72,23 @@ def one_sided_t_test(samples) -> TTestResult:
     underflows once |t| > 1e11 there; the exact value keeps p strictly
     decreasing in t for every finite t.
     """
+    n, mean, std, flagged = _moments(samples)
+    if flagged:
+        return TTestResult(0.0, Fraction(1, 2), n, mean, 0.0, flagged=True)
+    t = float(mean / (std / np.sqrt(n)))
+    return TTestResult(t, _p_value(t, n - 1), n, mean, std, flagged=False)
+
+
+def _moments(samples) -> tuple:
+    """(n, mean, ddof=1 std, flagged) of finite samples; a degenerate sample
+    (n < 2 or zero dispersion) is flagged and has std 0."""
     x = np.asarray(samples, dtype=float)
     if not np.isfinite(x).all():
         raise ValidationError("t test samples must be finite")
     n = x.size
     mean = float(x.mean()) if n else 0.0
-    if n < 2:
-        return TTestResult(0.0, Fraction(1, 2), n, mean, 0.0, flagged=True)
-    std = float(x.std(ddof=1))
-    if std == 0.0:
-        return TTestResult(0.0, Fraction(1, 2), n, mean, 0.0, flagged=True)
-    t = float(mean / (std / np.sqrt(n)))
-    return TTestResult(t, _p_value(t, n - 1), n, mean, std, flagged=False)
+    std = float(x.std(ddof=1)) if n >= 2 else 0.0
+    return n, mean, std, std == 0.0
 
 
 def _p_value(t: float, df: int) -> Fraction:
@@ -209,21 +214,12 @@ class ExperimentReport:
     blown_paths: dict = field(default_factory=dict)      # {arm: count}
 
 
-def _arm_stats(metrics: dict) -> tuple:
-    """An arm's raw performance, ``one_sided_t_test``'s (mean, std, flagged)
-    of its unblown wealth, and its count of blown paths."""
-    tt = one_sided_t_test(metrics["wealth_broker"][~metrics["blown"]])
-    return (tt.mean, tt.std, tt.flagged), int(metrics["blown"].sum())
-
-
 def build_experiment_report(per_arm: dict, params: ModelParams,
-                            model_params: ModelParams, config, *,
-                            arm_stats: dict | None = None) -> ExperimentReport:
+                            model_params: ModelParams, config) -> ExperimentReport:
     """Aggregate per-path metrics from the four strategy arms: the path count
     comes from their arrays, the seed from ``config.seed``, and each arm's raw
-    performance is ``one_sided_t_test``'s (mean, std, flagged) of its unblown wealth.
-    ``arm_stats`` maps an arm to its ``_arm_stats`` when the caller reports
-    the same arm's metrics more than once; the other arms' are formed here."""
+    performance is the (mean, std, flagged) of its unblown wealth that
+    ``one_sided_t_test`` also reports."""
     opt = per_arm["optimal"]
     n_paths = opt["blown"].size
     benchmarks = {}
@@ -238,11 +234,8 @@ def build_experiment_report(per_arm: dict, params: ModelParams,
             n_effective=int(valid.sum()), n_excluded=int(n_paths - valid.sum()),
             flagged=tt.flagged,
         )
-    raw = {}
-    blown = {}
-    arm_stats = arm_stats or {}
-    for arm, m in per_arm.items():
-        raw[arm], blown[arm] = arm_stats[arm] if arm in arm_stats else _arm_stats(m)
+    raw = {arm: _moments(m["wealth_broker"][~m["blown"]])[1:] for arm, m in per_arm.items()}
+    blown = {arm: int(m["blown"].sum()) for arm, m in per_arm.items()}
     return ExperimentReport(
         schema="brokergame.experiment/1",
         mode=config.signal_source,
@@ -308,10 +301,9 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     the client keeps the true coefficients and the simulated dynamics keep
     the base parameters.  Each chunk of paths draws its noise once and runs
     the base cell's four arms plus every stressed cell's optimal arm on it.
-    A cell's report reuses the base cell's benchmark arms, and their raw
-    statistics are formed once for every report: their rules read only the
-    broker's inventory, the client flows and the true trader, none of which
-    the stress touches.  The base cell's and every stressed cell's
+    A cell's report reuses the base cell's benchmark arms: their rules read
+    only the broker's inventory, the client flows and the true trader, none
+    of which the stress touches.  The base cell's and every stressed cell's
     tables are built in one batch, their broker Riccati in one stacked march;
     an ``ExistenceError`` names the cell that blew up.  The flow filter's
     tables are built only when ``config.signal_source`` is ``"flow"``; no
@@ -346,9 +338,8 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     results = _run_jobs(jobs, config.seed, grid.steps, n_paths, chunk_size)
 
     base_arms = dict(zip(BROKER_MODES, results))
-    shared = {arm: _arm_stats(base_arms[arm]) for arm in BROKER_MODES[1:]}
     report = lambda per_arm, model: build_experiment_report(
-        per_arm, params=params, model_params=model, config=config, arm_stats=shared)
+        per_arm, params=params, model_params=model, config=config)
     return StressReport(
         base=report(base_arms, params),
         cells=tuple(StressCell(name, mult, report({**base_arms, "optimal": arms}, stressed))

@@ -9,21 +9,20 @@ feedback loadings,
 
 ``W`` lives on (q_broker, q_trader) and ``P9`` maps nothing from
 (alpha_hat, flow) into that pair, so the same equation restricted to the
-pair is a closed 2x2 Riccati.  The restricted block is authoritative for the
-control and the full solve must agree with it, which doubles as an
-integration cross-check.  Every solve runs as one stacked RK4 march on a
-``(systems, 4, 4)`` state: each parameter set contributes its full system
-and its restricted one, padded into the 4x4 frame with ``S``, ``W`` and
-``P9`` zero outside the pair, where the equation then keeps ``G`` exactly 0.
-A march is bound by per-stage Python work, not by matrix size, so a batch of
-parameter sets costs little more than one.  An eigenvalue diagnostic, read
-from the same restricted terms, certifies that the block stays in the
-region where a global solution exists.
+pair is a closed 2x2 Riccati.  Each parameter set contributes its one 4x4
+system to a stacked RK4 march on a ``(sets, 4, 4)`` state, and the corner of
+that solve feeds the control.  A march is bound by per-stage Python work,
+not by matrix size, so a batch of parameter sets costs little more than one.
+The closed 2x2 block is marched on its own only when ``block_dev``, the
+cross-check of the full solve against it, is first read.  An eigenvalue
+diagnostic, read from the same restricted terms, certifies that the block
+stays in the region where a global solution exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +47,6 @@ __all__ = [
 STATE_ORDER = ("q_broker", "alpha_hat", "flow", "q_trader")
 # (q_broker, q_trader): the block of the Riccati that closes on itself
 _CORNER = (0, 3)
-# each parameter set's members of a stacked march, in order: (name, states)
-_MEMBERS = (("broker_g2", (0, 1, 2, 3)), ("g2_block", _CORNER))
 # the parameters the price-filter variance reads
 _SIGNAL_KEYS = ("sigma_price", "rho", "sigma_signal", "kappa_signal")
 
@@ -63,7 +60,15 @@ class BrokerCoefficients:
     gains: DeterministicTable         # feedback row: rate = gains(t) . y
     eigvals: DeterministicTable       # existence diagnostic, 4 per node
     det_scaled: DeterministicTable    # det of the row-scaled diagnostic matrix
-    block_dev: float                  # max |full - reduced| on shared entries
+    params: ModelParams               # the set these tables were solved for
+    trader: TraderCoefficients = field(repr=False)   # and its trader
+
+    @cached_property
+    def block_dev(self) -> float:
+        """max |full - reduced| on the (q_broker, q_trader) corner: ``g2``
+        against a march of the closed 2x2 block alone, run on first read."""
+        block = solve_reduced_riccati(self.params, self.trader, self.var_alpha, self.grid)
+        return float(np.max(np.abs(self.g2.values[:, [[0], [3]], [0, 3]] - block.values)))
 
 
 def solve_price_filter_variance(params: ModelParams, grid: TimeGrid) -> DeterministicTable:
@@ -149,37 +154,26 @@ def _riccati_terms(f1, f2, f3, vb, params: ModelParams, states):
     return s, np.take(2.0 * p8, states, axis=-1), p9
 
 
-def _march(systems, grid: TimeGrid, name: str) -> DeterministicTable:
-    """Backward RK4 march of ``G' = -(S + (G W)(G W)^T + G P9 + P9^T G)`` for
-    every ``(params, trader, var_alpha, states)`` system at once, stacked
-    along the leading axis of a ``(systems, 4, 4)`` state.  A system's terms
-    are zero outside its ``states``, so its ``G`` stays exactly 0 there; each
-    starts from the terminal penalty ``-(beta0 + beta1 var_alpha(T))`` in
-    the q_broker entry.  The terms of each ``(params, trader, var_alpha)``
-    are evaluated once, over all four states, and each of its systems reads
-    their restriction to its ``states``.  Every term of the right-hand side
-    is symmetric entry for entry, so the march keeps each G exactly
-    symmetric."""
+def _march(sets, grid: TimeGrid, name: str, states=(0, 1, 2, 3)) -> DeterministicTable:
+    """Backward RK4 march of ``G' = -(S + (G W)(G W)^T + G P9 + P9^T G)``
+    restricted to ``states`` for every ``(params, trader, var_alpha)`` set at
+    once, stacked along the leading axis of a ``(sets, n, n)`` state.  Each
+    starts from the terminal penalty ``-(beta0 + beta1 var_alpha(T))`` in the
+    q_broker entry.  Every term of the right-hand side is symmetric entry for
+    entry, so the march keeps each G exactly symmetric."""
     lattice = StageLattice(grid, substeps=2, direction="backward")
-    shape = (lattice.times.size, len(systems), 4)
-    terminal = np.zeros((len(systems), 4, 4))
-    neg_s, w, p9 = np.zeros(shape + (4,)), np.zeros(shape + (1,)), np.zeros(shape + (4,))
-    terms = {}      # the full terms of each (params, trader, var_alpha) on the lattice
-    for m, (params, trader, var_alpha, states) in enumerate(systems):
+    n = len(states)
+    shape = (lattice.times.size, len(sets), n)
+    terminal = np.zeros((len(sets), n, n))
+    neg_s, w, p9 = np.empty(shape + (n,)), np.empty(shape + (1,)), np.empty(shape + (n,))
+    for m, (params, trader, var_alpha) in enumerate(sets):
         terminal[m, 0, 0] = -(params.beta0_broker
                               + params.beta1_broker * var_alpha.at_index(grid.steps))
-        key = (params, trader, var_alpha)
-        if key not in terms:
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms[key] = _riccati_terms(
-                    *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
-                    params, _MEMBERS[0][1])
-        s, wm, p9m = terms[key]
-        idx = np.array(states)
-        block = (slice(None), idx[:, None], idx)
-        neg_s[:, m, idx[:, None], idx] = -s[block]
-        w[:, m, idx, 0] = wm[:, idx]
-        p9[:, m, idx[:, None], idx] = p9m[block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, wm, p9m = _riccati_terms(
+                *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
+                params, states)
+        neg_s[:, m], w[:, m, :, 0], p9[:, m] = -s, wm, p9m
     # per-stage lists index faster than arrays
     neg_s, w, p9 = list(neg_s), list(w), list(p9)
 
@@ -194,33 +188,30 @@ def _march(systems, grid: TimeGrid, name: str) -> DeterministicTable:
 def solve_reduced_riccati(params: ModelParams, trader: TraderCoefficients,
                           var_alpha: DeterministicTable, grid: TimeGrid) -> DeterministicTable:
     """Backward solve of the broker's Riccati restricted to its closed
-    (q_broker, q_trader) block: a one-member march."""
-    g = _march([(params, trader, var_alpha, _CORNER)], grid, "g2_block").values
-    return DeterministicTable("g2_block", grid, g[:, 0][:, [[0], [3]], [0, 3]])
+    (q_broker, q_trader) block, as a 2x2 march of its own."""
+    g = _march([(params, trader, var_alpha)], grid, "g2_block", _CORNER).values
+    return DeterministicTable("g2_block", grid, g[:, 0])
 
 
 def solve_broker(params: ModelParams, trader: TraderCoefficients,
                  grid: TimeGrid) -> BrokerCoefficients:
     """Solve the broker's full coefficient system: ``solve_brokers`` on one
-    parameter set, whose full and restricted systems march together."""
+    parameter set."""
     return solve_brokers([params], [trader], grid)[0]
 
 
 def solve_brokers(params_seq, traders, grid: TimeGrid) -> list:
     """Solve the broker's coefficient system for each parameter set and its
-    trader, every matrix Riccati in one stacked march.  The price-filter
-    variance is solved once per distinct value of the parameters it reads
-    (``_SIGNAL_KEYS``), and the sets that share it share the table.
+    trader, one 4x4 matrix Riccati per set, all in one stacked march.  The
+    price-filter variance is solved once per distinct value of the parameters
+    it reads (``_SIGNAL_KEYS``), and the sets that share it share the table.
 
-    Each set's full 4x4 Riccati is integrated backward, exactly symmetric at
-    every node, and cross-checked against the same equation restricted to
-    the (q_broker, q_trader) block, which is authoritative for the corner
-    entries that enter the control.  A blow-up raises ``ExistenceError``
-    naming the system (full ``broker_g2`` or restricted ``g2_block``) and
-    the parameter set (its index, also ``member``) that became non-finite
-    first: the permanent impact is outside the range
-    where the reduced system has a global solution, or the grid step is too
-    coarse for the march's fixed substeps.
+    Each set's full Riccati is integrated backward, exactly symmetric at
+    every node, and its (q_broker, q_trader) corner feeds the control.  A
+    blow-up raises ``ExistenceError`` naming the parameter set (its index,
+    also ``member``) whose system became non-finite first: the permanent
+    impact is outside the range where the reduced system has a global
+    solution, or the grid step is too coarse for the march's fixed substeps.
     """
     solved, var_alphas = {}, []
     for p in params_seq:
@@ -230,28 +221,21 @@ def solve_brokers(params_seq, traders, grid: TimeGrid) -> list:
         var_alphas.append(solved[key])
     sets = list(zip(params_seq, traders, var_alphas))
     try:
-        g = _march([(*s, states) for s in sets for _, states in _MEMBERS], grid,
-                   "broker_riccati").values
+        g = _march(sets, grid, "broker_riccati").values
     except IntegrationBlowupError as exc:
-        k, j = divmod(exc.member, len(_MEMBERS))
         raise ExistenceError(
-            f"broker matrix Riccati blow-up in the '{_MEMBERS[j][0]}' system of parameter "
-            f"set {k} ({exc}): either the grid step is too coarse for the march's substeps "
-            "or the permanent impact is outside its admissible range", k) from exc
-    return [_broker_tables(*s, g[:, 2 * k], g[:, 2 * k + 1], grid) for k, s in enumerate(sets)]
+            f"broker matrix Riccati blow-up in the 'broker_g2' system of parameter "
+            f"set {exc.member} ({exc}): either the grid step is too coarse for the march's "
+            "substeps or the permanent impact is outside its admissible range",
+            exc.member) from exc
+    return [_broker_tables(*s, g[:, k], grid) for k, s in enumerate(sets)]
 
 
 def _broker_tables(params: ModelParams, trader: TraderCoefficients,
-                   var_alpha: DeterministicTable, full, block,
-                   grid: TimeGrid) -> BrokerCoefficients:
-    """One parameter set's tables from its marched full and padded
-    restricted matrices."""
-    full = np.array(full)
-    corner = (slice(None), [[0], [3]], [0, 3])
-    block_dev = float(np.max(np.abs(full[corner] - block[corner])))
-    # reduced block is authoritative for the entries that feed the control
-    full[corner] = block[corner]
-    g2 = DeterministicTable("g2", grid, full)
+                   var_alpha: DeterministicTable, g, grid: TimeGrid) -> BrokerCoefficients:
+    """One parameter set's tables from its marched matrix."""
+    # a copy: a view would keep the whole stacked march alive with this table
+    g2 = DeterministicTable("g2", grid, np.array(g))
 
     gain = price_filter_gain(var_alpha.values, params) * params.sigma_price
     gain_sq = DeterministicTable("gain_sq", grid, gain * gain)
@@ -266,7 +250,7 @@ def _broker_tables(params: ModelParams, trader: TraderCoefficients,
 
     gains = _feedback_gain_table(params, trader, var_alpha, g2)
     eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid)
-    return BrokerCoefficients(grid, var_alpha, g2, g0, gains, eig, det_scaled, block_dev)
+    return BrokerCoefficients(grid, var_alpha, g2, g0, gains, eig, det_scaled, params, trader)
 
 
 def _feedback_gain_table(params: ModelParams, trader: TraderCoefficients,

@@ -91,9 +91,6 @@ class ModelParams:
     def replace(self, **changes) -> "ModelParams":
         return dataclasses.replace(self, **changes)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def digest(self) -> str:
         """Stable short hash of the parameter set (report metadata)."""
         # the fields are floats: vars() writes the JSON of asdict() without

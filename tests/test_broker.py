@@ -1,3 +1,4 @@
+import inspect
 import io
 import math
 
@@ -65,36 +66,65 @@ def test_batched_build_equals_each_build_alone(params):
 
 
 def test_stacked_march_members(params):
-    # the padded restricted member stays exactly 0 outside (q_broker,
-    # q_trader); the full member is the march of one 4x4 state whose
-    # right-hand side is formed from the same terms (bit-identical with
-    # numpy 2.4 on x86-64; the bound allows rounding only)
+    # each set's member is the march of its own 4x4 state whose right-hand
+    # side is formed from the same terms (bit-identical with numpy 2.4 on
+    # x86-64; the bound allows rounding only)
     grid = bg.TimeGrid(1.0, 50)
-    systems = []
-    for model in _stress_models(params):
-        trader = bg.solve_trader(model, grid)
-        var_alpha = solve_price_filter_variance(model, grid)
-        systems += [(model, trader, var_alpha, (0, 1, 2, 3)), (model, trader, var_alpha, (0, 3))]
-    g = _march(systems, grid, "stack").values
-    outside = np.ones((4, 4), dtype=bool)
-    outside[np.ix_([0, 3], [0, 3])] = False
-    assert np.all(g[:, 1::2, outside] == 0.0)
+    sets = [(model, bg.solve_trader(model, grid), solve_price_filter_variance(model, grid))
+            for model in _stress_models(params)]
+    g = _march(sets, grid, "stack").values
+    assert g.shape == (grid.steps + 1, len(sets), 4, 4)
 
-    model, trader, var_alpha, states = systems[0]
     lattice = StageLattice(grid, substeps=2, direction="backward")
-    s, w, p9 = _riccati_terms(*(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3,
-                                                            var_alpha)), model, states)
+    for k, (model, trader, var_alpha) in enumerate(sets):
+        s, w, p9 = _riccati_terms(*(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3,
+                                                                var_alpha)), model, (0, 1, 2, 3))
 
-    def rhs(i, gi):
-        gw = gi @ w[i]
-        lin = gi @ p9[i]
-        return -s[i] - np.outer(gw, gw) - (lin + lin.T)
+        def rhs(i, gi):
+            gw = gi @ w[i]
+            lin = gi @ p9[i]
+            return -s[i] - np.outer(gw, gw) - (lin + lin.T)
 
-    terminal = np.zeros((4, 4))
-    terminal[0, 0] = -(model.beta0_broker
-                       + model.beta1_broker * var_alpha.at_index(grid.steps))
-    ref = rk4_integrate(rhs, terminal, lattice).values
-    assert np.abs(g[:, 0] - ref).max() <= 1e-15 * np.abs(ref).max()
+        terminal = np.zeros((4, 4))
+        terminal[0, 0] = -(model.beta0_broker
+                           + model.beta1_broker * var_alpha.at_index(grid.steps))
+        ref = rk4_integrate(rhs, terminal, lattice).values
+        assert np.abs(g[:, k] - ref).max() <= 1e-15 * np.abs(ref).max(), k
+
+
+def test_one_system_per_set_and_block_dev_marches_on_read(params, monkeypatch):
+    # a build marches one 4x4 system per parameter set; the closed 2x2 block
+    # is marched on its own, once, when block_dev is first read
+    grid = bg.TimeGrid(1.0, 50)
+    integrate = bg.odes.rk4_integrate
+    signature = inspect.signature(integrate)
+    marches = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        marches.append((bound.get("name", "rk4"), np.shape(bound["boundary_value"])))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(bg.broker, "rk4_integrate", spy)
+    models = _stress_models(params)
+    bundles = bg.build_bundles(models, grid)
+    assert [shape for name, shape in marches if name == "broker_riccati"] == [(len(models), 4, 4)]
+    assert not [name for name, _ in marches if name == "g2_block"]
+
+    broker = bundles[3].broker
+    del marches[:]
+    block_dev = broker.block_dev
+    assert marches == [("g2_block", (1, 2, 2))]
+    assert broker.block_dev == block_dev and len(marches) == 1
+
+    g = broker.g2.values
+    blk = bg.solve_reduced_riccati(models[3], bundles[3].trader, broker.var_alpha, grid).values
+    assert block_dev == np.abs(g[:, [[0], [3]], [0, 3]] - blk).max()
+    assert block_dev < 1e-12 * np.abs(g).max()
+
+
+def test_empty_batch_builds_nothing():
+    assert bg.build_bundles([], bg.TimeGrid(1.0, 50)) == []
 
 
 @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])

@@ -116,8 +116,8 @@ def test_flow_tables_read_no_inventory_loading(params, grid200):
 
 def test_build_marches_each_system_once(params, grid200, monkeypatch):
     # the flow filter reads the trader's unit speed response instead of
-    # marching it again, and the broker's full and restricted Riccati march
-    # as one stacked state
+    # marching it again, and the broker's Riccati marches once, its closed
+    # 2x2 block not until block_dev is read
     integrate = bg.odes.rk4_integrate
     signature = inspect.signature(integrate)
     names = []
