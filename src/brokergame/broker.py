@@ -143,11 +143,12 @@ def _p9(p2, p7, p8):
     return 2.0 * _outer(p8, p7) + _transpose(p2)
 
 
-def _riccati_terms(f1, f2, f3, vb, params: ModelParams, states):
+def _riccati_terms(p_matrices, states):
     """Source ``S = P7 P7^T + P5``, loading ``W = 2 P8`` and linear term
-    ``P9`` of the broker's Riccati, at one instant or stacked along the
-    leading axis of the inputs, restricted to the state indices ``states``."""
-    p2, p5, p7, p8, _ = _p_matrices(f1, f2, f3, vb, params)
+    ``P9`` of the broker's Riccati from ``_p_matrices``' output, at one
+    instant or stacked along its leading axis, restricted to the state
+    indices ``states``."""
+    p2, p5, p7, p8, _ = p_matrices
     # np.take keeps each instant's entries contiguous for the march
     s, p9 = (np.take(np.take(m, states, axis=-2), states, axis=-1)
              for m in (_outer(p7, p7) + p5, _p9(p2, p7, p8)))
@@ -170,9 +171,9 @@ def _march(sets, grid: TimeGrid, name: str, states=(0, 1, 2, 3)) -> Deterministi
         terminal[m, 0, 0] = -(params.beta0_broker
                               + params.beta1_broker * var_alpha.at_index(grid.steps))
         with np.errstate(over="ignore", invalid="ignore"):
-            s, wm, p9m = _riccati_terms(
+            s, wm, p9m = _riccati_terms(_p_matrices(
                 *(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3, var_alpha)),
-                params, states)
+                params), states)
         neg_s[:, m], w[:, m, :, 0], p9[:, m] = -s, wm, p9m
     # per-stage lists index faster than arrays
     neg_s, w, p9 = list(neg_s), list(w), list(p9)
@@ -248,30 +249,30 @@ def _broker_tables(params: ModelParams, trader: TraderCoefficients,
     source = source.tolist()
     g0 = rk4_integrate(lambda i, y: source[i], 0.0, nodes, name="g0")
 
-    gains = _feedback_gain_table(params, trader, var_alpha, g2)
-    eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid)
+    # the state matrices at the nodes, formed once for the gains and the diagnostic
+    p_nodes = _p_matrices(trader.f1.values, trader.f2.values, trader.f3.values,
+                          var_alpha.values, params)
+    _, _, p7, p8, sq = p_nodes
+    gains = DeterministicTable(
+        "gains", grid, (p7 + 2.0 * np.einsum("kj,kjl->kl", p8, g2.values)) / sq[:, None])
+    eig, det_scaled = existence_diagnostic(params, trader, var_alpha, grid, p_nodes)
     return BrokerCoefficients(grid, var_alpha, g2, g0, gains, eig, det_scaled, params, trader)
 
 
-def _feedback_gain_table(params: ModelParams, trader: TraderCoefficients,
-                         var_alpha: DeterministicTable,
-                         g2: DeterministicTable) -> DeterministicTable:
-    _, _, p7, p8, sq = _p_matrices(trader.f1.values, trader.f2.values, trader.f3.values,
-                                   var_alpha.values, params)
-    rows = (p7 + 2.0 * np.einsum("kj,kjl->kl", p8, g2.values)) / sq[:, None]
-    return DeterministicTable("gains", g2.grid, rows)
-
-
 def existence_diagnostic(params: ModelParams, trader: TraderCoefficients,
-                         var_alpha: DeterministicTable, grid: TimeGrid):
+                         var_alpha: DeterministicTable, grid: TimeGrid, p_matrices=None):
     """Eigenvalues (by descending magnitude) of the comparison matrix that
     certifies existence of the reduced Riccati solution, plus the determinant
     of its row-scaled version.  Existence requires the three leading
     eigenvalues negative and the fourth (and the determinant) zero.
+    ``p_matrices`` is ``_p_matrices`` at the grid nodes when the caller has
+    formed it already.
     """
+    if p_matrices is None:
+        p_matrices = _p_matrices(trader.f1.values, trader.f2.values, trader.f3.values,
+                                 var_alpha.values, params)
     # B = S, U = W W^T and V = P9 of the equation restricted to the corner
-    bmat, w, v = _riccati_terms(trader.f1.values, trader.f2.values, trader.f3.values,
-                                var_alpha.values, params, _CORNER)
+    bmat, w, v = _riccati_terms(p_matrices, _CORNER)
     u = _outer(w, w)
     cmat = np.array([[0.0, 0.0], [0.0, 1.0]])
     top_left = cmat @ v + _transpose(v) @ cmat + 2.0 * bmat

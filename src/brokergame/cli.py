@@ -146,8 +146,9 @@ def cmd_path(cfg: RunConfig, n_band: int) -> int:
         n_blown = int(metrics["blown"].sum())
         bands = {}
         for name in RECORD_SERIES:
-            bands[f"p05_{name}"] = np.percentile(rec[name], 5.0, axis=1)
-            bands[f"p95_{name}"] = np.percentile(rec[name], 95.0, axis=1)
+            # one copy and one partition per series for both bands
+            bands[f"p05_{name}"], bands[f"p95_{name}"] = np.percentile(
+                rec[name], [5.0, 95.0], axis=1)
     export_path_csv(result, _outpath(cfg, "path.csv"), bands=bands)
     export_filter_csv(result, bundle.trader, bundle.broker, bundle.flow,
                       _outpath(cfg, "filters.csv"))

@@ -40,6 +40,11 @@ __all__ = [
 FLOAT_FMT = "%.17g"
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, horizon] into `steps` intervals."""
@@ -50,8 +55,10 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
-        if int(self.steps) != self.steps or self.steps < 2:
-            raise ValidationError(f"steps must be an integer >= 2, got {self.steps}")
+        if not _is_integer(self.steps) or self.steps < 2:
+            raise ValidationError(f"steps must be an integer >= 2, got {self.steps!r}")
+        # a numpy integer count and the equal int make one grid
+        object.__setattr__(self, "steps", int(self.steps))
 
     @property
     def dt(self) -> float:

@@ -19,7 +19,7 @@ step stays elementwise: a BLAS matrix product rounds a path's values
 differently with the width of its chunk.  Paths are vectorised, and every
 path owns its own seeded random stream so results are independent of
 chunking; the streams are drawn in blocks of paths into one time-major
-buffer.
+buffer, which a recorded batch places inside its own record.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -41,7 +41,7 @@ from .broker import BrokerCoefficients, solve_brokers
 from .errors import ValidationError
 from .filters import (FlowFilterCoefficients, flow_filter_coefficients, price_filter_gain,
                       trader_filter_gain)
-from .odes import TimeGrid, write_columns_csv
+from .odes import TimeGrid, _is_integer, write_columns_csv
 from .params import ModelParams
 from .trader import TraderCoefficients, solve_trader
 
@@ -74,11 +74,6 @@ INIT_STATES = (
     "cash_broker", "cash_trader", "nu_hat", "alpha_hat_price", "alpha_hat_flow",
 )
 NOISE_BLOCK = 32                   # paths per block of the noise draw
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_counts(**counts) -> None:
@@ -263,20 +258,20 @@ def _broker_rule(tables: _Tables, config: StrategyConfig) -> np.ndarray:
     return rule
 
 
-def _draw_noise(base_seed: int, path_indices, steps: int):
+def _draw_noise(base_seed: int, path_indices, steps: int, out: np.ndarray | None = None):
     """Per-path streams: one initial-inventory draw then the step increments.
 
     Path n uses ``default_rng(base_seed ^ n)``; the draw order is fixed so
     every strategy arm sees bit-identical noise for a given path index.  The
-    increments are ``(steps, paths, 3)``, a view of a time-major buffer in
-    which each normal component of a step is contiguous over paths.  Paths
-    are drawn ``NOISE_BLOCK`` at a time into a path-major block, one
-    contiguous row per path, and each block goes into the buffer in one
-    transposed assignment.
+    increments are ``(steps, paths, 3)``, a view of a time-major ``(steps, 3,
+    paths)`` buffer (``out`` when given) in which each normal component of a
+    step is contiguous over paths.  Paths are drawn ``NOISE_BLOCK`` at a time
+    into a path-major block, one contiguous row per path, and each block
+    goes into the buffer in one transposed assignment.
     """
     paths = [int(n) for n in path_indices]
     m = len(paths)
-    noise = np.empty((steps, 3, m))
+    noise = np.empty((steps, 3, m)) if out is None else out
     q0 = np.empty(m)
     block = np.empty((min(NOISE_BLOCK, m), steps, 3))
     for lo in range(0, m, NOISE_BLOCK):
@@ -290,12 +285,16 @@ def _draw_noise(base_seed: int, path_indices, steps: int):
 
 
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
-                   q0_draw: np.ndarray, record: bool, init: dict | None = None):
+                   q0_draw: np.ndarray, record: bool, init: dict | None = None,
+                   record_block: np.ndarray | None = None):
     """Advance a batch of paths under the config's broker rule.
 
     Returns (metrics, records): every metric is ``(paths,)``; records are
     None unless ``record``, and then hold exactly the ``RECORD_SERIES``, each
-    ``(steps+1, paths)``.
+    ``(steps+1, paths)``, as the rows of ``record_block`` (a ``(series,
+    steps+1, paths)`` array, new when not given).  Step ``k`` records node
+    ``k`` of every series at its top and reads increment ``k`` only within
+    itself, so increment ``k`` may sit in node ``k + 1`` of the block.
     """
     p = tables.true
     grid = tables.grid
@@ -413,7 +412,9 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
 
     rec = None
     if record:
-        rec = {name: np.zeros((n_steps + 1, m)) for name in RECORD_SERIES}
+        if record_block is None:
+            record_block = np.empty((len(RECORD_SERIES), n_steps + 1, m))
+        rec = dict(zip(RECORD_SERIES, record_block))
 
     eta[:] = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
     a_naive = gamma = ztil = None
@@ -550,8 +551,7 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     if seed is not None:
         config = replace(config, seed=seed)
     tables = _Tables(params, params, CoefficientBundle(trader, broker, flow))
-    q0, eps = _draw_noise(config.seed, [0], trader.grid.steps)
-    metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
+    metrics, rec = _record_batch(tables, config, [0], init)
     series = {name: rec[name][:, 0].copy() for name in RECORD_SERIES}
     scalars = {key: value[0].item() for key, value in metrics.items()}
     # the rate's terms: each rule column times the state it reads, node by node
@@ -564,17 +564,32 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
 
 def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
                       config: StrategyConfig, n_paths: int, base_seed: int):
-    """Record full series for a (small) batch of paths; returns (metrics, records).
+    """Record full series for a batch of paths; returns (metrics, records).
 
     The records hold exactly the ``RECORD_SERIES``, each ``(steps+1,
     n_paths)``; the rate's components are not stored (``simulate_path``
-    derives them for its one path).  ``base_seed`` replaces ``config.seed``.
+    derives them for its one path).  The batch's noise is drawn into its
+    record, so its peak allocation is the record plus ``(n_paths,)``
+    temporaries.  ``base_seed`` replaces ``config.seed``.
     """
     _check_counts(n_paths=n_paths)
     config = replace(config, seed=base_seed)
-    tables = _Tables(params, params, bundle)
-    q0, eps = _draw_noise(config.seed, range(n_paths), bundle.trader.grid.steps)
-    return _simulate_core(tables, config, eps, q0, record=True)
+    return _record_batch(_Tables(params, params, bundle), config, range(n_paths))
+
+
+def _record_batch(tables: _Tables, config: StrategyConfig, path_indices,
+                  init: dict | None = None):
+    """Run the paths ``path_indices`` with a record; returns (metrics, records).
+
+    The noise is drawn into nodes ``1..steps`` of the record's last three
+    series, so the batch allocates its record and nothing else of its size.
+    """
+    steps = tables.grid.steps
+    block = np.empty((len(RECORD_SERIES), steps + 1, len(path_indices)))
+    q0, eps = _draw_noise(config.seed, path_indices, steps,
+                          out=block[-3:, 1:].transpose(1, 0, 2))
+    return _simulate_core(tables, config, eps, q0, record=True, init=init,
+                          record_block=block)
 
 
 def filter_diagnostics(trader: TraderCoefficients, rec: dict) -> dict:

@@ -77,8 +77,8 @@ def test_stacked_march_members(params):
 
     lattice = StageLattice(grid, substeps=2, direction="backward")
     for k, (model, trader, var_alpha) in enumerate(sets):
-        s, w, p9 = _riccati_terms(*(x(lattice.times) for x in (trader.f1, trader.f2, trader.f3,
-                                                                var_alpha)), model, (0, 1, 2, 3))
+        s, w, p9 = _riccati_terms(_p_matrices(*(x(lattice.times) for x in (
+            trader.f1, trader.f2, trader.f3, var_alpha)), model), (0, 1, 2, 3))
 
         def rhs(i, gi):
             gw = gi @ w[i]
@@ -320,7 +320,8 @@ def test_reduced_matrices_match_block_of_full(params, grid1000, bundle):
         pc = params.replace(c_belief=c)
         for t in (0.1, 0.6, 0.95):
             u, v, bmat = reduced_broker_uvb(tr.f2(t), tr.f3(t), va(t), pc)
-            s, w, p9 = _riccati_terms(tr.f1(t), tr.f2(t), tr.f3(t), va(t), pc, (0, 3))
+            s, w, p9 = _riccati_terms(_p_matrices(tr.f1(t), tr.f2(t), tr.f3(t), va(t), pc),
+                                      (0, 3))
             assert np.abs(np.outer(w, w) - u).max() < 1e-12 * np.abs(u).max()
             assert np.abs(p9 - v).max() < 1e-12 * np.abs(v).max()
             assert np.abs(s - bmat).max() < 1e-12 * np.abs(bmat).max()

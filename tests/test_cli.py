@@ -153,6 +153,35 @@ def test_path_bands_count_blown_paths(tmp_path, small_ini, capsys, monkeypatch):
     assert (out / "path.csv").is_file() and (out / "filters.csv").is_file()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # inf - inf in a band
+def test_path_bands_equal_one_percentile_call_per_band(tmp_path, small_ini, monkeypatch):
+    # the 5th and 95th percentile bands, formed in one call per series, equal
+    # the two calls of one band each bit for bit, on rows holding NaN and inf
+    real, seen = cli.simulate_recorded, {}
+
+    def batch_with_gaps(*args):
+        metrics, rec = real(*args)
+        rec["price"][10, 2] = np.nan
+        rec["flow"][20, [0, 3]] = np.inf
+        rec["q_broker"][30, 1] = -np.inf
+        rec["signal"][40, [1, 4]] = [np.inf, -np.inf]
+        seen["rec"] = rec
+        return metrics, rec
+
+    monkeypatch.setattr(cli, "simulate_recorded", batch_with_gaps)
+    monkeypatch.setattr(cli, "export_path_csv",
+                        lambda result, path, bands=None: seen.update(bands=bands))
+    assert main(["--config", small_ini, "--out-dir", str(tmp_path), "--paths", "6",
+                 "path"]) == 0
+    rec, bands = seen["rec"], seen["bands"]
+    assert set(bands) == {f"p{q}_{name}" for q in ("05", "95") for name in rec}
+    for name, series in rec.items():
+        for q in (5.0, 95.0):
+            expect = np.percentile(series, q, axis=1)
+            assert np.array_equal(bands[f"p{q:02.0f}_{name}"], expect, equal_nan=True), name
+    assert np.isnan(bands["p05_price"][10]) and not np.isfinite(bands["p95_flow"][20])
+
+
 @pytest.mark.parametrize("paths", ["0", "-3"])
 def test_path_rejects_band_counts_below_one(tmp_path, capsys, paths):
     # as experiment does: no band count below 1 passes for "no bands"

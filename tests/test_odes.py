@@ -29,6 +29,19 @@ def test_grid_validation():
         bg.TimeGrid(-1.0, 100)
 
 
+@pytest.mark.parametrize("steps", [50.0, 2.5, True, "50", None])
+def test_grid_rejects_a_step_count_that_is_no_integer(steps):
+    # a typed error at construction, not numpy's TypeError on first use
+    with pytest.raises(bg.ValidationError, match="steps must be an integer"):
+        bg.TimeGrid(1.0, steps)
+
+
+def test_grid_stores_a_numpy_step_count_as_an_int():
+    g = bg.TimeGrid(1.0, np.int64(50))
+    assert type(g.steps) is int and g == bg.TimeGrid(1.0, 50)
+    assert np.array_equal(g.times, bg.TimeGrid(1.0, 50).times)
+
+
 def test_rk4_zero_field_constant():
     g = bg.TimeGrid(2.0, 50)
     tab = bg.rk4_integrate(lambda i, y: 0.0 * y, np.asarray(3.5), StageLattice(g))

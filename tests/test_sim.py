@@ -340,13 +340,14 @@ def test_simulate_recorded_rejects_non_integral_counts(params, bundle200):
 
 
 def test_recorded_batch_stores_only_the_record_series(params, bundles50):
-    # the peak allocation of a recorded batch is its record plus the noise
-    # buffer and a few (paths,) temporaries; a (steps+1, 4, paths) block
-    # more, such as the rate's components, breaks the bound
+    # the peak allocation of a recorded batch is its record plus a few
+    # (paths,) temporaries: the noise is drawn into the record, so a separate
+    # (steps, 3, paths) noise buffer (480,000 bytes) breaks the bound, as does
+    # a (steps+1, 4, paths) block more, such as the rate's components
     bundle, steps, m = bundles50[0.0], 50, 400
     record_bytes = len(bg.sim.RECORD_SERIES) * (steps + 1) * m * 8
-    noise_bytes = steps * 3 * m * 8
-    slack = 320_000                        # under the 4-column block's 652,800 bytes
+    slack = 320_000                        # under the noise buffer's 480,000 bytes
+    assert slack < steps * 3 * m * 8
     assert slack < 4 * (steps + 1) * m * 8
     bg.simulate_recorded(params, bundle, bg.StrategyConfig(), 2, 5)   # lazy imports
     tracemalloc.start()
@@ -356,7 +357,42 @@ def test_recorded_batch_stores_only_the_record_series(params, bundles50):
     finally:
         tracemalloc.stop()
     assert set(rec) == set(bg.sim.RECORD_SERIES)
-    assert peak < record_bytes + noise_bytes + slack, peak
+    assert peak < record_bytes + slack, peak
+
+
+@pytest.mark.parametrize("mode", BROKER_MODES)
+@pytest.mark.parametrize("source", ["price", "flow", "naive"])
+def test_noise_in_the_record_leaves_every_output_unchanged(mode, source):
+    # a recorded batch draws its noise into nodes 1..steps of its own record;
+    # every series and metric equals a recorded run on a separately drawn
+    # buffer, also with rho != 0 (the step reads the price increment twice),
+    # a mispecified client inventory (q0 enters) and a path started from init
+    steps, m, seed = 30, 7, 11
+    grid = bg.TimeGrid(1.0, steps)
+    for rho, mispecify in ((0.0, False), (0.4, False), (0.4, True)):
+        params = bg.DEFAULT_PARAMS.replace(rho=rho)
+        bundle = bg.build_coefficients(params, grid)
+        tables = _Tables(params, params, bundle)
+        config = bg.StrategyConfig(broker_mode=mode, signal_source=source,
+                                   mispecify_qi=mispecify, seed=seed)
+        q0, eps = _draw_noise(seed, range(m), steps)
+        metrics, rec = bg.simulate_recorded(params, bundle, config, m, seed)
+        expect_metrics, expect = _simulate_core(tables, config, eps, q0, record=True)
+        for key, value in expect_metrics.items():
+            assert np.array_equal(metrics[key], value), (rho, mispecify, key)
+        for name in bg.sim.RECORD_SERIES:
+            assert np.array_equal(rec[name], expect[name]), (rho, mispecify, name)
+
+        init = {"q_broker": 0.5, "price": 90.0, "alpha_hat_flow": 0.2}
+        res = bg.simulate_path(params, bundle.trader, bundle.broker, bundle.flow, config,
+                               seed=seed ^ 3, init=init)
+        q0, eps = _draw_noise(seed ^ 3, [0], steps)
+        expect_metrics, expect = _simulate_core(tables, config, eps, q0, record=True,
+                                                init=init)
+        for key, value in expect_metrics.items():
+            assert np.array_equal(getattr(res, key), value[0]), (rho, mispecify, key)
+        for name in bg.sim.RECORD_SERIES:
+            assert np.array_equal(getattr(res, name), expect[name][:, 0]), (rho, mispecify, name)
 
 
 def test_path_seed_matches_experiment_indexing(bundle, params):
@@ -384,6 +420,15 @@ def test_block_noise_fill_keeps_each_path_stream():
         rng = np.random.default_rng(1729 ^ (first + j))
         assert q0[j] == rng.standard_normal()
         assert np.array_equal(eps[:, j, :], rng.standard_normal((steps, 3)))
+    # a recorded batch fills nodes 1..steps of three series of its record, a
+    # strided view, with the same streams and touches nothing else
+    record = np.full((5, steps + 1, m), np.nan)
+    q0_view, eps_view = _draw_noise(1729, range(first, first + m), steps,
+                                    out=record[-3:, 1:].transpose(1, 0, 2))
+    assert np.shares_memory(eps_view, record)
+    assert np.array_equal(q0_view, q0) and np.array_equal(eps_view, eps)
+    assert np.array_equal(record[-3:, 1:].transpose(1, 2, 0), eps)
+    assert np.isnan(record[:2]).all() and np.isnan(record[:, 0]).all()
 
 
 @pytest.mark.parametrize("mode", BROKER_MODES)
