@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +54,19 @@ class TimeGrid:
     steps: int = 1000
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
+        if not isinstance(self.horizon, numbers.Real) or isinstance(self.horizon, bool):
+            raise ValidationError(f"horizon must be a real number, got {self.horizon!r}")
+        try:
+            horizon = float(self.horizon)
+        except OverflowError:              # an int past the float range
+            horizon = math.inf
+        if not (horizon > 0.0 and math.isfinite(horizon)):
             raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
         if not _is_integer(self.steps) or self.steps < 2:
             raise ValidationError(f"steps must be an integer >= 2, got {self.steps!r}")
-        # a numpy integer count and the equal int make one grid
+        # a numpy or integer horizon and the equal float make one grid, as do
+        # a numpy integer count and the equal int
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "steps", int(self.steps))
 
     @property

@@ -19,7 +19,10 @@ step stays elementwise: a BLAS matrix product rounds a path's values
 differently with the width of its chunk.  Paths are vectorised, and every
 path owns its own seeded random stream so results are independent of
 chunking; the streams are drawn in blocks of paths into one time-major
-buffer, which a recorded batch places inside its own record.
+buffer, which a recorded batch places inside its own record.  An experiment
+chunk fills its buffer ``NOISE_SLAB`` steps at a time and advances every arm
+over each slab, continuing each path's stream and each arm's state, so the
+results are also independent of the slab length.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -74,6 +77,7 @@ INIT_STATES = (
     "cash_broker", "cash_trader", "nu_hat", "alpha_hat_price", "alpha_hat_flow",
 )
 NOISE_BLOCK = 32                   # paths per block of the noise draw
+NOISE_SLAB = 250                   # steps per slab of an experiment chunk's noise
 
 
 def _check_counts(**counts) -> None:
@@ -258,7 +262,8 @@ def _broker_rule(tables: _Tables, config: StrategyConfig) -> np.ndarray:
     return rule
 
 
-def _draw_noise(base_seed: int, path_indices, steps: int, out: np.ndarray | None = None):
+def _draw_noise(base_seed: int, path_indices, steps: int, out: np.ndarray | None = None,
+                streams: list | None = None):
     """Per-path streams: one initial-inventory draw then the step increments.
 
     Path n uses ``default_rng(base_seed ^ n)``; the draw order is fixed so
@@ -268,25 +273,37 @@ def _draw_noise(base_seed: int, path_indices, steps: int, out: np.ndarray | None
     step is contiguous over paths.  Paths are drawn ``NOISE_BLOCK`` at a time
     into a path-major block, one contiguous row per path, and each block
     goes into the buffer in one transposed assignment.
+
+    ``streams`` carries the paths' generators from one slab of steps to the
+    next: an empty list is filled with them, each left after the increments
+    it drew, and a call given them again draws each path's next ``steps``
+    increments and returns ``q0`` None.  A generator draws the same numbers
+    whether its increments come in one call or in slabs.
     """
     paths = [int(n) for n in path_indices]
     m = len(paths)
     noise = np.empty((steps, 3, m)) if out is None else out
-    q0 = np.empty(m)
+    fresh = not streams
+    q0 = np.empty(m) if fresh else None
     block = np.empty((min(NOISE_BLOCK, m), steps, 3))
     for lo in range(0, m, NOISE_BLOCK):
         rows = block[:min(NOISE_BLOCK, m - lo)]
         for j, row in enumerate(rows):
-            rng = np.random.default_rng(base_seed ^ paths[lo + j])
-            q0[lo + j] = rng.standard_normal()
+            if fresh:
+                rng = np.random.default_rng(base_seed ^ paths[lo + j])
+                q0[lo + j] = rng.standard_normal()
+                if streams is not None:
+                    streams.append(rng)
+            else:
+                rng = streams[lo + j]
             rng.standard_normal(out=row)
         noise[:, :, lo:lo + len(rows)] = rows.transpose(1, 2, 0)
     return q0, noise.transpose(0, 2, 1)
 
 
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
-                   q0_draw: np.ndarray, record: bool, init: dict | None = None,
-                   record_block: np.ndarray | None = None):
+                   q0_draw: np.ndarray | None, record: bool, init: dict | None = None,
+                   record_block: np.ndarray | None = None, carry: dict | None = None):
     """Advance a batch of paths under the config's broker rule.
 
     Returns (metrics, records): every metric is ``(paths,)``; records are
@@ -295,6 +312,14 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     steps+1, paths)`` array, new when not given).  Step ``k`` records node
     ``k`` of every series at its top and reads increment ``k`` only within
     itself, so increment ``k`` may sit in node ``k + 1`` of the block.
+
+    A call advances the batch by the steps of its increments ``eps``, the
+    whole horizon unless ``carry`` is given.  ``carry`` holds the batch's
+    state between slabs of steps: given empty, the call starts the batch
+    from ``init`` and ``q0_draw`` and leaves its state there; given again,
+    it continues the batch and reads neither.  Every metric is the batch's
+    value after the call's steps, except ``blown``, which flags the paths
+    that blew within them, so a blown path is flagged in one slab only.
     """
     p = tables.true
     grid = tables.grid
@@ -307,6 +332,10 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     unknown = sorted(set(init) - set(INIT_STATES))
     if unknown:
         raise ValidationError(f"init names no state: {unknown}; states are {INIT_STATES}")
+    k0 = carry["step"] if carry else 0
+    k1 = k0 + eps.shape[0]
+    if not k0 < k1 <= n_steps or (carry is None and k1 < n_steps):
+        raise ValueError(f"increments for steps {k0}..{k1} of a {n_steps}-step batch")
     rule = _broker_rule(tables, config).T
     # the rate sums only the state columns the rule ever reads; each of the
     # broker's estimates (price filter, flow filter, naive readout) runs only
@@ -353,45 +382,62 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     # last interior node, and multiplies by its reciprocal
     inv_f1b_c = 1.0 / tables.f1_belief[np.minimum(np.arange(n_steps + 1), n_steps - 1)]
 
-    def full(key, default):
-        value = init.get(key, default)
-        try:
-            return np.full(m, float(value))
-        except (TypeError, ValueError):
-            raise ValidationError(f"init[{key!r}] must be a number, got {value!r}") from None
+    if carry:                          # the batch where its last slab left it
+        (price, price_next, x, acct_b, acct_i, q_ib, nu_hat, a_price, a_flow, probed, book,
+         gaps, notional, blow_step, gamma, ztil, rec) = carry["state"]
+    else:
+        def full(key, default):
+            value = init.get(key, default)
+            try:
+                return np.full(m, float(value))
+            except (TypeError, ValueError):
+                raise ValidationError(f"init[{key!r}] must be a number, got {value!r}") from None
 
-    price = full("price", p.price_init)
-    price_next = np.empty(m)
-    # (eta, nu, flow, signal): one call forms their dt products, one the
-    # absolute values of the traded rates (eta, nu, flow) and one decays
-    # (flow, signal); the broker's rate nu is formed at the top of each step
-    x = np.empty((4, m))
+        price = full("price", p.price_init)
+        price_next = np.empty(m)
+        # (eta, nu, flow, signal): one call forms their dt products, one the
+        # absolute values of the traded rates (eta, nu, flow) and one decays
+        # (flow, signal); the broker's rate nu is formed at the top of each step
+        x = np.empty((4, m))
+        x[2] = full("flow", 0.0)
+        x[3] = full("signal", p.signal_init)
+        # each side's account is one (2, paths) array of (cash, inventory), so a
+        # client trade, the broker's own flows and the conservation gaps each
+        # take one call for both rows
+        acct_b = np.stack([full("cash_broker", 0.0), full("q_broker", 0.0)])
+        acct_i = np.stack([full("cash_trader", 0.0), full("q_trader", 0.0)])
+        if config.mispecify_qi:
+            acct_i[1] += q0_draw
+        q_ib = full("q_trader_belief", 0.0)
+        nu_hat = full("nu_hat", 0.0)
+        a_price = full("alpha_hat_price", 0.0)
+        a_flow = full("alpha_hat_flow", 0.0)
+        # an estimate enters the blow-up probe where its filter runs; one that
+        # does not move enters only if it starts non-finite
+        probed = [a for a, runs in ((a_price, run_price), (a_flow, run_flow))
+                  if runs or not np.isfinite(a).all()]
+        # what acct_b + acct_i must equal: the starting books plus the integral
+        # of the broker's own flow, (cost_xi - cost_nu, nu - xi)
+        book = acct_b + acct_i
+        gaps = np.zeros((2, m))        # running max of |acct_b + acct_i - book|
+        notional = np.zeros(m)         # sum of traded value, trapezoid weights
+        blow_step = np.full(m, -1, dtype=np.int64)
+        rec = None
+        if record:
+            if record_block is None:
+                record_block = np.empty((len(RECORD_SERIES), n_steps + 1, m))
+            rec = dict(zip(RECORD_SERIES, record_block))
+        x[0] = f1[0] * x[3] + f2[0] * nu_hat + f3[0] * acct_i[1]
+        gamma = ztil = None
+        if need_gamma:
+            gamma = x[0] - f3b[0] * q_ib
+            if run_flow:
+                ztil = gamma * inv_scale[0]
     eta, nu, flow, signal = x
     flow_signal = x[2:]
-    flow[:] = full("flow", 0.0)
-    signal[:] = full("signal", p.signal_init)
-    # each side's account is one (2, paths) array of (cash, inventory), so a
-    # client trade, the broker's own flows and the conservation gaps each
-    # take one call for both rows
-    acct_b = np.stack([full("cash_broker", 0.0), full("q_broker", 0.0)])
-    acct_i = np.stack([full("cash_trader", 0.0), full("q_trader", 0.0)])
     x_b, q_b = acct_b
     x_i, q_i = acct_i
-    if config.mispecify_qi:
-        q_i += q0_draw
-    q_ib = full("q_trader_belief", 0.0)
-    nu_hat = full("nu_hat", 0.0)
-    a_price = full("alpha_hat_price", 0.0)
-    a_flow = full("alpha_hat_flow", 0.0)
-    # an estimate enters the blow-up probe where its filter runs; one that
-    # does not move enters only if it starts non-finite
-    probed = [a for a, runs in ((a_price, run_price), (a_flow, run_flow))
-              if runs or not np.isfinite(a).all()]
 
-    # what acct_b + acct_i must equal: the starting books plus the integral
-    # of the broker's own flow, (cost_xi - cost_nu, nu - xi)
-    book = acct_b + acct_i
-    gaps = np.zeros((2, m))            # running max of |acct_b + acct_i - book|
     gap = np.empty((2, m))
     own = np.empty((2, m))             # the broker's own flow over a step
     # one step's flows by row: 0 the client's payment -cost_eta, 1-4 (eta,
@@ -404,28 +450,15 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     shocks = np.empty((3, m))          # noise times its loading, (price, signal, flow)
     dprice = np.empty(m)
     obs = np.empty(m)
-    notional = np.zeros(m)             # sum of traded value, trapezoid weights
     traded = np.empty(m)
     probe = np.empty(m)
     blown = np.zeros(m, dtype=bool)
-    blow_step = np.full(m, -1, dtype=np.int64)
-
-    rec = None
-    if record:
-        if record_block is None:
-            record_block = np.empty((len(RECORD_SERIES), n_steps + 1, m))
-        rec = dict(zip(RECORD_SERIES, record_block))
-
-    eta[:] = f1[0] * signal + f2[0] * nu_hat + f3[0] * q_i
-    a_naive = gamma = ztil = None
-    if need_gamma:
-        gamma = eta - f3b[0] * q_ib
-        if run_flow:
-            ztil = gamma * inv_scale[0]
-    noise = eps.transpose(0, 2, 1)     # (steps, 3, paths)
+    a_naive = None
+    noise = eps.transpose(0, 2, 1)     # (slab steps, 3, paths)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
+        # the horizon's node has a top and no step
+        for k in range(k0, k1 + (k1 == n_steps)):
             if run_naive:
                 a_naive = gamma * inv_f1b_c[k]
             y = (q_b, (a_price, a_flow, a_naive)[source], flow, q_ib, eta)
@@ -455,7 +488,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             if k == n_steps:
                 break
 
-            np.multiply(loads, noise[k], out=shocks)
+            np.multiply(loads, noise[k - k0], out=shocks)
             np.multiply(x, dt, out=x_dt)
             np.multiply(nu, impact_dt, out=impact)
             np.multiply(cost_coef, x[:3], out=costs)
@@ -486,7 +519,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 a_price += obs
             flow_signal *= decay
             if load_sig0:                  # the signal loads on price noise when rho != 0
-                signal += load_sig0 * noise[k, 0]
+                signal += load_sig0 * noise[k - k0, 0]
             signal += shocks[1]
             flow += shocks[2]
 
@@ -519,22 +552,25 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             for estimate in probed:
                 probe += estimate
             if not math.isfinite(probe.sum()):
-                fresh = ~np.isfinite(probe) & ~blown
+                fresh = ~np.isfinite(probe) & (blow_step < 0)
                 blow_step[fresh] = k + 1
                 blown |= fresh
 
-    notional *= dt
+    if carry is not None:
+        carry.update(step=k1, state=(price, price_next, x, acct_b, acct_i, q_ib, nu_hat, a_price,
+                                     a_flow, probed, book, gaps, notional, blow_step, gamma,
+                                     ztil, rec))
     with np.errstate(over="ignore", invalid="ignore"):
         wealth_b = x_b + q_b * price
         wealth_i = x_i + q_i * price
     metrics = {
         "wealth_broker": wealth_b,
         "wealth_trader": wealth_i,
-        "notional": notional,
+        "notional": notional * dt,
         "blown": blown,
-        "blow_step": blow_step,
-        "max_inventory_gap": gaps[1],
-        "max_cash_gap": gaps[0],
+        "blow_step": blow_step.copy(),
+        "max_inventory_gap": gaps[1].copy(),
+        "max_cash_gap": gaps[0].copy(),
     }
     return metrics, rec
 
@@ -624,18 +660,30 @@ def filter_diagnostics(trader: TraderCoefficients, rec: dict) -> dict:
 def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):
     """Run every ``(tables, arm config)`` job on the same noise.
 
-    Each chunk of paths draws its noise once (path ``n`` from
-    ``base_seed ^ n``) and runs every job on it, chunk after chunk on the
-    calling thread.  Returns one metrics dict per job, in job order, with
-    the chunks concatenated in path order.  The caller has checked the
-    counts.
+    The chunks of paths run one after another on the calling thread.  A
+    chunk draws its noise (path ``n`` from ``base_seed ^ n``) ``NOISE_SLAB``
+    steps at a time into one buffer, reused over slabs and chunks, and
+    advances every job over a slab before it draws the next, so no chunk
+    holds its whole horizon of noise.  Returns one metrics dict per job, in
+    job order, with the chunks concatenated in path order.  The caller has
+    checked the counts.
     """
-    def run_chunk(lo, hi):
-        q0, eps = _draw_noise(base_seed, range(lo, hi), steps)
-        return [_simulate_core(tables, config, eps, q0, record=False)[0]
-                for tables, config in jobs]
+    buffer = np.empty(min(NOISE_SLAB, steps) * 3 * min(chunk_size, n_paths))
 
-    results = [run_chunk(lo, min(lo + chunk_size, n_paths))
+    def run_chunk(paths):
+        m = len(paths)
+        streams, carries = [], [{} for _ in jobs]
+        blown = np.zeros((len(jobs), m), dtype=bool)
+        for k in range(0, steps, NOISE_SLAB):
+            slab = min(NOISE_SLAB, steps - k)
+            q0, eps = _draw_noise(base_seed, paths, slab, streams=streams,
+                                  out=buffer[:slab * 3 * m].reshape(slab, 3, m))
+            last = [_simulate_core(tables, config, eps, q0, record=False, carry=carry)[0]
+                    for (tables, config), carry in zip(jobs, carries)]
+            blown |= [metrics["blown"] for metrics in last]
+        return [{**metrics, "blown": flags} for metrics, flags in zip(last, blown)]
+
+    results = [run_chunk(range(lo, min(lo + chunk_size, n_paths)))
                for lo in range(0, n_paths, chunk_size)]
     return [{key: np.concatenate([out[j][key] for out in results], axis=-1)
              for key in results[0][j]}

@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ def test_grid_nodes_exact():
 def test_grid_validation():
     with pytest.raises(bg.ValidationError):
         bg.TimeGrid(1.0, 1)
-    with pytest.raises(bg.ValidationError):
-        bg.TimeGrid(-1.0, 100)
+    for horizon in (-1.0, 0, math.inf, math.nan, 10**400):
+        with pytest.raises(bg.ValidationError, match="horizon must be positive and finite"):
+            bg.TimeGrid(horizon, 100)
 
 
 @pytest.mark.parametrize("steps", [50.0, 2.5, True, "50", None])
@@ -34,6 +36,21 @@ def test_grid_rejects_a_step_count_that_is_no_integer(steps):
     # a typed error at construction, not numpy's TypeError on first use
     with pytest.raises(bg.ValidationError, match="steps must be an integer"):
         bg.TimeGrid(1.0, steps)
+
+
+@pytest.mark.parametrize("horizon", [True, "1", None, 1j])
+def test_grid_rejects_a_horizon_that_is_no_real_number(horizon):
+    # a bool is no horizon, as it is no step count; a string or None is a
+    # typed error, not a bare TypeError from the comparison
+    with pytest.raises(bg.ValidationError, match="horizon must be a real number"):
+        bg.TimeGrid(horizon, 10)
+
+
+def test_grid_stores_its_horizon_as_a_float():
+    for horizon in (2, np.int64(2), np.float32(2.0), Fraction(2)):
+        g = bg.TimeGrid(horizon, 10)
+        assert type(g.horizon) is float and g == bg.TimeGrid(2.0, 10), horizon
+        assert np.array_equal(g.times, bg.TimeGrid(2.0, 10).times)
 
 
 def test_grid_stores_a_numpy_step_count_as_an_int():

@@ -360,6 +360,35 @@ def test_recorded_batch_stores_only_the_record_series(params, bundles50):
     assert peak < record_bytes + slack, peak
 
 
+def test_experiment_chunk_holds_one_slab_of_noise(params):
+    # a chunk draws its noise one slab at a time into one reused buffer, so
+    # its peak is that buffer, the paths' generators (about 860 bytes each),
+    # every arm's carried state and metrics (about 30 (paths,) rows each),
+    # the draw's path block and a step call's temporaries.  The whole
+    # horizon's (steps, 3, paths) buffer, or a second slab, breaks the bound
+    m, slab = 1000, bg.sim.NOISE_SLAB
+    grid = bg.TimeGrid(1.0, 2 * slab + 3)
+    steps, bundle = grid.steps, bg.build_coefficients(params, grid)
+    slab_bytes = slab * 3 * m * 8
+    generator_bytes = 1_000 * m
+    arm_bytes = len(BROKER_MODES) * 40 * m * 8
+    block_bytes = bg.sim.NOISE_BLOCK * slab * 3 * 8
+    slack = 500_000
+    bound = slab_bytes + generator_bytes + arm_bytes + block_bytes + slack
+    assert steps > slab
+    assert bound < steps * 3 * m * 8
+    assert bound < 2 * slab_bytes
+    config = bg.StrategyConfig(signal_source="flow")
+    bg.run_experiment(params, grid, config, 2, base_seed=5, bundle=bundle)   # lazy imports
+    tracemalloc.start()
+    try:
+        bg.run_experiment(params, grid, config, m, base_seed=5, bundle=bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+
+
 @pytest.mark.parametrize("mode", BROKER_MODES)
 @pytest.mark.parametrize("source", ["price", "flow", "naive"])
 def test_noise_in_the_record_leaves_every_output_unchanged(mode, source):
@@ -429,6 +458,18 @@ def test_block_noise_fill_keeps_each_path_stream():
     assert np.array_equal(q0_view, q0) and np.array_equal(eps_view, eps)
     assert np.array_equal(record[-3:, 1:].transpose(1, 2, 0), eps)
     assert np.isnan(record[:2]).all() and np.isnan(record[:, 0]).all()
+    # drawn slab by slab, the last one short, into one reused buffer: q0 on
+    # the first slab only, then each path's increments continue its stream
+    streams, buffer, slabs = [], np.empty((16, 3, m)), []
+    for slab in (16, 16, 8):
+        q0_slab, eps_slab = _draw_noise(1729, range(first, first + m), slab,
+                                        out=buffer[:slab], streams=streams)
+        assert (q0_slab is None) == bool(slabs)
+        if not slabs:
+            assert np.array_equal(q0_slab, q0)
+        slabs.append(eps_slab.copy())
+    assert len(streams) == m
+    assert np.array_equal(np.concatenate(slabs), eps)
 
 
 @pytest.mark.parametrize("mode", BROKER_MODES)
@@ -496,19 +537,50 @@ def test_run_experiment_rejects_empty_runs_and_chunks(params, grid200, bundle200
                           bundle=bundle200, chunk_size=chunk_size)
 
 
-def test_run_experiment_independent_of_chunking(params, grid200, bundle200):
+def _assert_same_arms(got, expect, label):
+    for arm in BROKER_MODES:
+        assert got[arm].keys() == expect[arm].keys(), (label, arm)
+        for key, values in expect[arm].items():
+            assert np.array_equal(got[arm][key], values), (label, arm, key)
+
+
+def test_run_experiment_independent_of_chunking(params, grid200, bundle200, monkeypatch):
     # every metric of every arm is bit-identical whatever the chunk layout
     runs = [bg.run_experiment(params, grid200, bg.StrategyConfig(signal_source="flow"), 30,
                               base_seed=3, bundle=bundle200, chunk_size=chunk)[1]
             for chunk in (1, 7, 30)]
     for per in runs[1:]:
-        for arm in BROKER_MODES:
-            assert per[arm].keys() == runs[0][arm].keys()
-            for key, values in per[arm].items():
-                assert np.array_equal(values, runs[0][arm][key]), (arm, key)
+        _assert_same_arms(per, runs[0], "grid200")
     for arm in BROKER_MODES:
         assert set(runs[0][arm]) == {"wealth_broker", "wealth_trader", "notional", "blown",
                                      "blow_step", "max_inventory_gap", "max_cash_gap"}, arm
+    # and whatever the slab layout: a chunk advances NOISE_SLAB steps at a
+    # time, and a grid one step short of a slab, one slab, one step over and
+    # two slabs and three steps equals whole-horizon loops on one noise draw,
+    # in every signal source, with the client's inventory mispecified or
+    # not.  Once at the package's slab; the full set on a four-step slab
+    # (dt as on a 250-step unit grid), whose step loops are short
+    small = 4
+    cases = [(bg.sim.NOISE_SLAB, 2 * bg.sim.NOISE_SLAB + 3,
+              bg.StrategyConfig(signal_source="flow", mispecify_qi=True))]
+    cases += [(small, steps, bg.StrategyConfig(signal_source=source, mispecify_qi=mispecify))
+              for steps in (small - 1, small, small + 1, 2 * small + 3)
+              for source in bg.sim.SIGNAL_SOURCES for mispecify in (False, True)]
+    bundles = {}
+    for slab, steps, config in cases:
+        monkeypatch.setattr(bg.sim, "NOISE_SLAB", slab)
+        if steps not in bundles:
+            bundles[steps] = bg.build_coefficients(params, bg.TimeGrid(steps / 250, steps))
+        bundle = bundles[steps]
+        q0, eps = _draw_noise(3, range(9), steps)
+        expect = {arm: _simulate_core(_Tables(params, params, bundle),
+                                      replace(config, broker_mode=arm), eps, q0,
+                                      record=False)[0]
+                  for arm in BROKER_MODES}
+        for chunk in (1, 7):
+            _, per = bg.run_experiment(params, bundle.trader.grid, config, 9, base_seed=3,
+                                       bundle=bundle, chunk_size=chunk)
+            _assert_same_arms(per, expect, (slab, steps, config, chunk))
 
 
 @pytest.mark.parametrize("field, value", [("unwind_tail", 2.5), ("seed", 1.5),
