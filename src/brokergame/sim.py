@@ -22,7 +22,10 @@ chunking; the streams are drawn in blocks of paths into one time-major
 buffer, which a recorded batch places inside its own record.  An experiment
 chunk fills its buffer ``NOISE_SLAB`` steps at a time and advances every arm
 over each slab, continuing each path's stream and each arm's state, so the
-results are also independent of the slab length.
+results are also independent of the slab length.  An arm builds its set-up
+(rule table, spread constants, folded filter maps) on the chunk's first
+slab and keeps it with its state, so a later slab costs only its steps and
+its draw, and a short slab keeps the chunk's noise small.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -77,7 +80,7 @@ INIT_STATES = (
     "cash_broker", "cash_trader", "nu_hat", "alpha_hat_price", "alpha_hat_flow",
 )
 NOISE_BLOCK = 32                   # paths per block of the noise draw
-NOISE_SLAB = 250                   # steps per slab of an experiment chunk's noise
+NOISE_SLAB = 50                    # steps per slab of an experiment chunk's noise
 
 
 def _check_counts(**counts) -> None:
@@ -277,28 +280,81 @@ def _draw_noise(base_seed: int, path_indices, steps: int, out: np.ndarray | None
     ``streams`` carries the paths' generators from one slab of steps to the
     next: an empty list is filled with them, each left after the increments
     it drew, and a call given them again draws each path's next ``steps``
-    increments and returns ``q0`` None.  A generator draws the same numbers
-    whether its increments come in one call or in slabs.
+    increments from them, reads nothing of ``path_indices`` and returns
+    ``q0`` None.  A generator draws the same numbers whether its increments
+    come in one call or in slabs.
     """
-    paths = [int(n) for n in path_indices]
-    m = len(paths)
-    noise = np.empty((steps, 3, m)) if out is None else out
     fresh = not streams
+    m = len(path_indices) if fresh else len(streams)
+    noise = np.empty((steps, 3, m)) if out is None else out
     q0 = np.empty(m) if fresh else None
     block = np.empty((min(NOISE_BLOCK, m), steps, 3))
     for lo in range(0, m, NOISE_BLOCK):
         rows = block[:min(NOISE_BLOCK, m - lo)]
-        for j, row in enumerate(rows):
-            if fresh:
-                rng = np.random.default_rng(base_seed ^ paths[lo + j])
-                q0[lo + j] = rng.standard_normal()
-                if streams is not None:
-                    streams.append(rng)
-            else:
-                rng = streams[lo + j]
+        hi = lo + len(rows)
+        if fresh:
+            rngs = [np.random.default_rng(base_seed ^ int(n)) for n in path_indices[lo:hi]]
+            q0[lo:hi] = [rng.standard_normal() for rng in rngs]
+            if streams is not None:
+                streams += rngs
+        else:
+            rngs = streams[lo:hi]
+        for rng, row in zip(rngs, rows):
             rng.standard_normal(out=row)
-        noise[:, :, lo:lo + len(rows)] = rows.transpose(1, 2, 0)
+        noise[:, :, lo:hi] = rows.transpose(1, 2, 0)
     return q0, noise.transpose(0, 2, 1)
+
+
+def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) -> tuple:
+    """What the step loop of one arm over ``m`` paths forms before its first
+    step: the rule's table and the state columns it reads, which of the
+    broker's estimates run, the per-row constants spread over the paths and
+    each filter folded into its one-step map.  ``_simulate_core`` builds it
+    on a batch's first call and keeps it in ``carry`` for the later ones."""
+    p = tables.true
+    grid = tables.grid
+    n_steps = grid.steps
+    dt = grid.dt
+    rule = _broker_rule(tables, config).T
+    # the rate sums only the state columns the rule ever reads; each of the
+    # broker's estimates (price filter, flow filter, naive readout) runs only
+    # where the rule reads it or the series are recorded, and the flow filter
+    # and the naive readout share the client's rate net of its believed
+    # inventory loading, gamma
+    active = [j for j in range(5) if rule[j].any()]
+    source = SIGNAL_SOURCES.index(config.signal_source)
+    run_price, run_flow, run_naive = (record or (1 in active and source == j) for j in range(3))
+    run_flow = run_flow and tables.inv_scale is not None
+
+    # constants folded once per batch: noise loadings sigma*sqrt(dt) of
+    # (price, signal, flow) (the signal's price-noise loading, nonzero when
+    # rho != 0, is applied on its own), decays 1 - kappa*dt of (flow,
+    # signal) and the cost coefficients of (eta, nu, flow).  A per-row
+    # constant is spread over the paths: numpy's same-shape loops are
+    # several times faster than broadcasting a column
+    sqdt = math.sqrt(dt)
+    rho_c = math.sqrt(max(0.0, 1.0 - p.rho * p.rho))
+    spread = lambda *rows: np.repeat(np.array(rows)[:, None], m, axis=1)
+    loads = spread(p.sigma_price * sqdt, p.sigma_signal * rho_c * sqdt, p.sigma_flow * sqdt)
+    decay = spread(1.0 - p.kappa_flow * dt, 1.0 - p.kappa_signal * dt)
+    cost_coef = spread(p.fee_informed, p.temp_impact, p.fee_uninformed)
+    # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k: the
+    # speed filter observes dy = dprice - signal dt, the price filter dz =
+    # dprice - impact_dt nu and the flow filter ztil' - (1 + g6 dt) ztil -
+    # g9 dt nu
+    c_nu = 1.0 - tables.theta_trader * dt - tables.gain_nu * (p.perm_impact * dt)
+    kappa_dt = tables.kappa_model * dt
+    c_price = 1.0 - kappa_dt - tables.gain_price * dt
+    c_flow = carry_ztil = g9_dt = None
+    if run_flow:
+        c_flow = 1.0 - kappa_dt - tables.gain_flow * tables.g7 * dt
+        carry_ztil = 1.0 + tables.g6 * dt
+        g9_dt = tables.g9 * dt
+    # the belief loadings vanish at the horizon: the naive readout reuses the
+    # last interior node, and multiplies by its reciprocal
+    inv_f1b_c = 1.0 / tables.f1_belief[np.minimum(np.arange(n_steps + 1), n_steps - 1)]
+    return (rule, active, source, run_price, run_flow, run_naive, loads, decay, cost_coef,
+            c_nu, c_price, c_flow, carry_ztil, g9_dt, inv_f1b_c)
 
 
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
@@ -314,73 +370,41 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     itself, so increment ``k`` may sit in node ``k + 1`` of the block.
 
     A call advances the batch by the steps of its increments ``eps``, the
-    whole horizon unless ``carry`` is given.  ``carry`` holds the batch's
-    state between slabs of steps: given empty, the call starts the batch
-    from ``init`` and ``q0_draw`` and leaves its state there; given again,
-    it continues the batch and reads neither.  Every metric is the batch's
-    value after the call's steps, except ``blown``, which flags the paths
-    that blew within them, so a blown path is flagged in one slab only.
+    whole horizon unless ``carry`` is given.  ``carry`` holds the batch
+    between slabs of steps: given empty, the call builds the arm's set-up
+    (``_arm_setup``), starts the batch from ``init`` and ``q0_draw`` and
+    leaves both there; given again, it continues the batch, reads neither
+    and builds nothing, so a later slab costs only its steps.  Every metric
+    is the batch's value after the call's steps, except ``blown``, which
+    flags the paths that blew within them, so a blown path is flagged in one
+    slab only.
     """
     p = tables.true
     grid = tables.grid
     n_steps = grid.steps
     dt = grid.dt
     m = eps.shape[1]
-    if config.signal_source == "flow" and tables.inv_scale is None:
-        raise ValidationError("signal_source='flow' requires flow-filter coefficients")
-    init = init or {}
-    unknown = sorted(set(init) - set(INIT_STATES))
-    if unknown:
-        raise ValidationError(f"init names no state: {unknown}; states are {INIT_STATES}")
+    if not carry:
+        if config.signal_source == "flow" and tables.inv_scale is None:
+            raise ValidationError("signal_source='flow' requires flow-filter coefficients")
+        init = init or {}
+        unknown = sorted(set(init) - set(INIT_STATES))
+        if unknown:
+            raise ValidationError(f"init names no state: {unknown}; states are {INIT_STATES}")
     k0 = carry["step"] if carry else 0
     k1 = k0 + eps.shape[0]
     if not k0 < k1 <= n_steps or (carry is None and k1 < n_steps):
         raise ValueError(f"increments for steps {k0}..{k1} of a {n_steps}-step batch")
-    rule = _broker_rule(tables, config).T
-    # the rate sums only the state columns the rule ever reads; each of the
-    # broker's estimates (price filter, flow filter, naive readout) runs only
-    # where the rule reads it or the series are recorded, and the flow filter
-    # and the naive readout share the client's rate net of its believed
-    # inventory loading, gamma
-    active = [j for j in range(5) if rule[j].any()]
-    source = SIGNAL_SOURCES.index(config.signal_source)
-    run_price, run_flow, run_naive = (record or (1 in active and source == j) for j in range(3))
-    run_flow = run_flow and tables.inv_scale is not None
+    setup = carry["setup"] if carry else _arm_setup(tables, config, record, m)
+    (rule, active, source, run_price, run_flow, run_naive, loads, decay, cost_coef,
+     c_nu, c_price, c_flow, carry_ztil, g9_dt, inv_f1b_c) = setup
     need_gamma = run_flow or run_naive
-
-    # constants folded once per call: noise loadings sigma*sqrt(dt) of
-    # (price, signal, flow) (the signal's price-noise loading, nonzero when
-    # rho != 0, is applied on its own), decays 1 - kappa*dt of (flow,
-    # signal), impact per step, and the cost coefficients of (eta, nu,
-    # flow).  A per-row constant is spread over the paths: numpy's
-    # same-shape loops are several times faster than broadcasting a column
-    sqdt = math.sqrt(dt)
-    rho_c = math.sqrt(max(0.0, 1.0 - p.rho * p.rho))
-    spread = lambda *rows: np.repeat(np.array(rows)[:, None], m, axis=1)
-    loads = spread(p.sigma_price * sqdt, p.sigma_signal * rho_c * sqdt, p.sigma_flow * sqdt)
-    load_sig0 = p.sigma_signal * p.rho * sqdt
-    decay = spread(1.0 - p.kappa_flow * dt, 1.0 - p.kappa_signal * dt)
+    load_sig0 = p.sigma_signal * p.rho * math.sqrt(dt)
     impact_dt = p.perm_impact * dt
-    cost_coef = spread(p.fee_informed, p.temp_impact, p.fee_uninformed)
     f1, f2, f3 = tables.f1, tables.f2, tables.f3
     f3b = tables.f3_belief
-    # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k: the
-    # speed filter observes dy = dprice - signal dt, the price filter dz =
-    # dprice - impact_dt nu and the flow filter ztil' - (1 + g6 dt) ztil -
-    # g9 dt nu
-    c_nu = 1.0 - tables.theta_trader * dt - tables.gain_nu * impact_dt
-    gain_nu = tables.gain_nu
-    kappa_dt = tables.kappa_model * dt
-    c_price = 1.0 - kappa_dt - tables.gain_price * dt
-    gain_price = tables.gain_price
-    if run_flow:
-        c_flow = 1.0 - kappa_dt - tables.gain_flow * tables.g7 * dt
-        gain_flow, inv_scale = tables.gain_flow, tables.inv_scale
-        carry_ztil = 1.0 + tables.g6 * dt
-        g9_dt = tables.g9 * dt
-    # the belief loadings vanish at the horizon: the naive readout reuses the
-    # last interior node, and multiplies by its reciprocal
-    inv_f1b_c = 1.0 / tables.f1_belief[np.minimum(np.arange(n_steps + 1), n_steps - 1)]
+    gain_nu, gain_price = tables.gain_nu, tables.gain_price
+    gain_flow, inv_scale = (tables.gain_flow, tables.inv_scale) if run_flow else (None, None)
 
     if carry:                          # the batch where its last slab left it
         (price, price_next, x, acct_b, acct_i, q_ib, nu_hat, a_price, a_flow, probed, book,
@@ -551,7 +575,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             probe += nu_hat
             for estimate in probed:
                 probe += estimate
-            if not math.isfinite(probe.sum()):
+            if not math.isfinite(np.add.reduce(probe)):
                 fresh = ~np.isfinite(probe) & (blow_step < 0)
                 blow_step[fresh] = k + 1
                 blown |= fresh
@@ -559,7 +583,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     if carry is not None:
         carry.update(step=k1, state=(price, price_next, x, acct_b, acct_i, q_ib, nu_hat, a_price,
                                      a_flow, probed, book, gaps, notional, blow_step, gamma,
-                                     ztil, rec))
+                                     ztil, rec), setup=setup)
     with np.errstate(over="ignore", invalid="ignore"):
         wealth_b = x_b + q_b * price
         wealth_i = x_i + q_i * price
@@ -664,15 +688,19 @@ def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):
     chunk draws its noise (path ``n`` from ``base_seed ^ n``) ``NOISE_SLAB``
     steps at a time into one buffer, reused over slabs and chunks, and
     advances every job over a slab before it draws the next, so no chunk
-    holds its whole horizon of noise.  Returns one metrics dict per job, in
-    job order, with the chunks concatenated in path order.  The caller has
-    checked the counts.
+    holds its whole horizon of noise.  Between slabs it keeps the paths'
+    generators and each job's ``carry``, whose set-up is built on the
+    chunk's first slab; a grid of one slab keeps neither.  Returns one
+    metrics dict per job, in job order, with the chunks concatenated in path
+    order.  The caller has checked the counts.
     """
     buffer = np.empty(min(NOISE_SLAB, steps) * 3 * min(chunk_size, n_paths))
+    sliced = steps > NOISE_SLAB
 
     def run_chunk(paths):
         m = len(paths)
-        streams, carries = [], [{} for _ in jobs]
+        streams = [] if sliced else None
+        carries = [{} if sliced else None for _ in jobs]
         blown = np.zeros((len(jobs), m), dtype=bool)
         for k in range(0, steps, NOISE_SLAB):
             slab = min(NOISE_SLAB, steps - k)

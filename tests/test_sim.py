@@ -360,33 +360,79 @@ def test_recorded_batch_stores_only_the_record_series(params, bundles50):
     assert peak < record_bytes + slack, peak
 
 
-def test_experiment_chunk_holds_one_slab_of_noise(params):
-    # a chunk draws its noise one slab at a time into one reused buffer, so
-    # its peak is that buffer, the paths' generators (about 860 bytes each),
-    # every arm's carried state and metrics (about 30 (paths,) rows each),
-    # the draw's path block and a step call's temporaries.  The whole
-    # horizon's (steps, 3, paths) buffer, or a second slab, breaks the bound
+def test_experiment_chunk_holds_one_slab_of_noise(params, monkeypatch):
+    # a chunk draws its noise one slab at a time into one reused buffer.  The
+    # paths' generators, every arm's set-up, state and metrics and a step
+    # call's temporaries do not depend on the slab's length, and the draw's
+    # path block is gone by the step loop, so doubling the slab raises the
+    # peak by one slab's bytes.  A second live slab doubles the rise; a
+    # whole-horizon buffer takes it away and breaks the bound below
     m, slab = 1000, bg.sim.NOISE_SLAB
-    grid = bg.TimeGrid(1.0, 2 * slab + 3)
+    grid = bg.TimeGrid(1.0, 8 * slab + 3)
     steps, bundle = grid.steps, bg.build_coefficients(params, grid)
     slab_bytes = slab * 3 * m * 8
-    generator_bytes = 1_000 * m
-    arm_bytes = len(BROKER_MODES) * 40 * m * 8
-    block_bytes = bg.sim.NOISE_BLOCK * slab * 3 * 8
-    slack = 500_000
-    bound = slab_bytes + generator_bytes + arm_bytes + block_bytes + slack
-    assert steps > slab
-    assert bound < steps * 3 * m * 8
-    assert bound < 2 * slab_bytes
+    slack = slab_bytes // 4
     config = bg.StrategyConfig(signal_source="flow")
     bg.run_experiment(params, grid, config, 2, base_seed=5, bundle=bundle)   # lazy imports
-    tracemalloc.start()
-    try:
-        bg.run_experiment(params, grid, config, m, base_seed=5, bundle=bundle)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, peak
+    peaks = {}
+    for length in (slab, 2 * slab):
+        monkeypatch.setattr(bg.sim, "NOISE_SLAB", length)
+        tracemalloc.start()
+        try:
+            bg.run_experiment(params, grid, config, m, base_seed=5, bundle=bundle)
+            peaks[length] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rise = peaks[2 * slab] - peaks[slab]
+    assert abs(rise - slab_bytes) < slack, peaks
+    assert peaks[slab] < steps * 3 * m * 8, peaks
+
+
+def test_arm_setup_runs_once_per_chunk(params, monkeypatch):
+    # a chunk builds each arm's set-up (its rule's table among it) on the
+    # first slab and keeps it in the arm's carry: two chunks of four arms
+    # over three slabs build it 8 times, not 24
+    grid = bg.TimeGrid(1.0, 2 * bg.sim.NOISE_SLAB + 3)
+    bundle = bg.build_coefficients(params, grid)
+    calls = []
+    rule = bg.sim._broker_rule
+    monkeypatch.setattr(bg.sim, "_broker_rule", lambda *args: calls.append(args) or rule(*args))
+    bg.run_experiment(params, grid, bg.StrategyConfig(signal_source="flow"), 6, base_seed=3,
+                      bundle=bundle, chunk_size=4)
+    assert len(calls) == 2 * len(BROKER_MODES)
+    # a continued batch still takes only the increments of the steps it has left
+    tables, config = _Tables(params, params, bundle), bg.StrategyConfig()
+    q0, eps = _draw_noise(3, range(4), grid.steps)
+    carry = {}
+    slab = bg.sim.NOISE_SLAB
+    _simulate_core(tables, config, eps[:slab], q0, record=False, carry=carry)
+    with pytest.raises(ValueError, match=re.escape(f"steps {slab}..{slab + grid.steps} of")):
+        _simulate_core(tables, config, eps, q0, record=False, carry=carry)
+
+
+def test_one_slab_chunk_keeps_no_generators(params, monkeypatch):
+    # nothing continues a grid of one slab, such as the stress sweep's, so
+    # its chunk keeps neither the paths' generators nor the arms' carries;
+    # a grid one step longer keeps both
+    slab = bg.sim.NOISE_SLAB
+    draws, cores = [], []
+    draw, core = bg.sim._draw_noise, bg.sim._simulate_core
+    monkeypatch.setattr(bg.sim, "_draw_noise",
+                        lambda *args, **kw: draws.append(kw["streams"]) or draw(*args, **kw))
+    monkeypatch.setattr(bg.sim, "_simulate_core",
+                        lambda *args, **kw: cores.append(kw["carry"]) or core(*args, **kw))
+    grid = bg.TimeGrid(1.0, slab)
+    bg.run_experiment(params, grid, bg.StrategyConfig(), 5, base_seed=3, chunk_size=3)
+    bg.analytics.stress_runner(params, {"kappa_signal": [0.5]}, grid, bg.StrategyConfig(), 5,
+                               base_seed=3)
+    assert draws == [None] * (2 + 1)
+    assert cores == [None] * (2 * len(BROKER_MODES) + len(BROKER_MODES) + 1)
+    draws.clear()
+    cores.clear()
+    bg.run_experiment(params, bg.TimeGrid(1.0, slab + 1), bg.StrategyConfig(), 5, base_seed=3,
+                      chunk_size=3)
+    assert [len(streams) for streams in draws] == [3, 3, 2, 2]
+    assert all(carry["step"] == slab + 1 for carry in cores)
 
 
 @pytest.mark.parametrize("mode", BROKER_MODES)
