@@ -8,24 +8,28 @@ obs_k`` on its observation, and the broker's own flows are formed once for
 her account and the book.  At a few hundred paths the step loop is bound by
 the count of numpy calls per step, at a few thousand by the bytes they move.
 So it forms only what the arm reads: each of the broker's estimates runs only
-where the rule reads it or the series are recorded, and their diagnostics
-come from the records.  And quantities of one shape sit in ``(rows, paths)``
-blocks, so that one call forms the dt products, the absolute traded rates,
-the three trade costs or the loaded noise.  A block's per-row constants are
-spread to full shape rather than broadcast as a column, which numpy runs
-several times slower, and each value is formed with the operations of the
-row-by-row step, in its order, so the results are bit-identical to it.  The
-step stays elementwise: a BLAS matrix product rounds a path's values
-differently with the width of its chunk.  Paths are vectorised, and every
-path owns its own seeded random stream so results are independent of
-chunking; the streams are drawn in blocks of paths into one time-major
-buffer, which a recorded batch places inside its own record.  An experiment
-chunk fills its buffer ``NOISE_SLAB`` steps at a time and advances every arm
-over each slab, continuing each path's stream and each arm's state, so the
-results are also independent of the slab length.  An arm builds its set-up
-(rule table, spread constants, folded filter maps) on the chunk's first
-slab and keeps it with its state, so a later slab costs only its steps and
-its draw, and a short slab keeps the chunk's noise small.
+where the rule reads it, each filter also where the series are recorded, and
+their diagnostics come from the records.  A record stores only the states the
+step advances; it forms the client's rate, the broker's rate and the naive
+readout on read with the step's operations, and the broker's belief of the
+client's inventory is that inventory unless the two can differ.  And
+quantities of one shape sit in ``(rows, paths)`` blocks, so that one call
+forms the dt products, the absolute traded rates, the three trade costs or
+the loaded noise.  A block's per-row constants are spread to full shape
+rather than broadcast as a column, which numpy runs several times slower, and
+each value is formed with the operations of the row-by-row step, in its
+order, so the results are bit-identical to it.  The step stays elementwise: a
+BLAS matrix product rounds a path's values differently with the width of its
+chunk.  Paths are vectorised, and every path owns its own seeded random
+stream so results are independent of chunking; the streams are drawn in
+blocks of paths into one time-major buffer, which a recorded batch places
+inside its own record's last three stored series.  An experiment chunk fills
+its buffer ``NOISE_SLAB`` steps at a time and advances every arm over each
+slab, continuing each path's stream and each arm's state, so the results are
+also independent of the slab length.  An arm builds its set-up (rule table,
+spread constants, folded filter maps) on the chunk's first slab and keeps it
+with its state, so a later slab costs only its steps and its draw, and a
+short slab keeps the chunk's noise small.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -39,6 +43,7 @@ per-chunk pass.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,13 +79,18 @@ RECORD_SERIES = (
     "q_broker", "q_trader", "q_trader_belief", "cash_broker", "cash_trader",
     "nu_hat", "alpha_hat_price", "alpha_hat_flow", "alpha_hat_naive",
 )
-# the series a path can start from (``simulate_path``'s ``init``)
+# the states the step advances: the series a path can start from
+# (``simulate_path``'s ``init``) and the ones a record stores
 INIT_STATES = (
     "price", "signal", "flow", "q_broker", "q_trader", "q_trader_belief",
     "cash_broker", "cash_trader", "nu_hat", "alpha_hat_price", "alpha_hat_flow",
 )
 NOISE_BLOCK = 32                   # paths per block of the noise draw
 NOISE_SLAB = 50                    # steps per slab of an experiment chunk's noise
+# nodes per block of a series a record forms on read: at 200 and 1,000 paths
+# 64 reads as fast as 16 or 256 or faster, and the whole series slower,
+# with one block's temporaries (BENCH_lean-record.json, form_nodes_choice)
+FORM_NODES = 64
 
 
 def _check_counts(**counts) -> None:
@@ -179,9 +189,9 @@ class PathResult:
     alpha_hat_flow: np.ndarray
     alpha_hat_naive: np.ndarray
     # (steps+1, 4) terms of the rate on q_broker, alpha_est, flow and
-    # q_trader_belief, formed from those recorded series after the step
-    # loop; benchmarks 1 and 3 also pass on rate_trader, which is not among
-    # them
+    # q_trader_belief, formed from the record with the products that form
+    # rate_broker; benchmarks 1 and 3 also pass on rate_trader, which is not
+    # among them
     components: np.ndarray
     wealth_broker: float             # cash + inventory marked at the last price
     wealth_trader: float
@@ -317,14 +327,15 @@ def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) ->
     dt = grid.dt
     rule = _broker_rule(tables, config).T
     # the rate sums only the state columns the rule ever reads; each of the
-    # broker's estimates (price filter, flow filter, naive readout) runs only
-    # where the rule reads it or the series are recorded, and the flow filter
-    # and the naive readout share the client's rate net of its believed
-    # inventory loading, gamma
+    # broker's estimates runs only where the rule reads it, and each filter
+    # (price, flow) also where the series are recorded, while a record forms
+    # the naive readout on read.  The flow filter and the naive readout share
+    # the client's rate net of its believed inventory loading, gamma
     active = [j for j in range(5) if rule[j].any()]
     source = SIGNAL_SOURCES.index(config.signal_source)
-    run_price, run_flow, run_naive = (record or (1 in active and source == j) for j in range(3))
-    run_flow = run_flow and tables.inv_scale is not None
+    run_price, run_flow, run_naive = (1 in active and source == j for j in range(3))
+    run_price = run_price or record
+    run_flow = (run_flow or record) and tables.inv_scale is not None
 
     # constants folded once per batch: noise loadings sigma*sqrt(dt) of
     # (price, signal, flow) (the signal's price-noise loading, nonzero when
@@ -357,17 +368,106 @@ def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) ->
             c_nu, c_price, c_flow, carry_ztil, g9_dt, inv_f1b_c)
 
 
+def _stored_series(config: StrategyConfig, init: dict | None) -> tuple:
+    """The series a record of a batch stores: the states the step advances
+    (``INIT_STATES``), less the broker's belief of the client's inventory
+    where it is the client's inventory bit for bit.  Both advance by the same
+    client trade, so they stay equal unless ``mispecify_qi`` draws the
+    client's start or ``init`` names either; the step then keeps no belief
+    of its own either."""
+    apart = config.mispecify_qi or not {"q_trader", "q_trader_belief"}.isdisjoint(init or ())
+    return tuple(name for name in INIT_STATES if apart or name != "q_trader_belief")
+
+
+class _Record(Mapping):
+    """A recorded batch's ``RECORD_SERIES``, each ``(steps+1, paths)``.
+
+    ``rows`` holds the stored series (``_stored_series``).  The client's
+    rate, the naive readout and the broker's rate are formed on read,
+    ``FORM_NODES`` nodes at a time into one new array, from the stored
+    series and the arm's set-up, with the step's operations in its order,
+    so each equals the value the step formed bit for bit; the broker's rate
+    reads only the series of the rule's active columns.  Each read forms a
+    new array from the stored rows as they are then; a membership test
+    forms nothing.
+    """
+
+    def __init__(self, rows: dict, tables: _Tables, setup: tuple):
+        self.rows = rows
+        self._trader = (tables.f1, tables.f2, tables.f3)
+        self._f3b = tables.f3_belief
+        self._rule, self._active, source = setup[:3]
+        self._inv_f1b_c = setup[-1]
+        # the state each rule column reads, as in the step's y
+        self._reads = ("q_broker", f"alpha_hat_{SIGNAL_SOURCES[source]}", "flow",
+                       "q_trader_belief", "rate_trader")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name in self.rows:
+            return self.rows[name]
+        if name == "q_trader_belief":          # not stored: the client's inventory
+            return self.rows["q_trader"]
+        if name not in RECORD_SERIES:
+            raise KeyError(name)
+        out = np.empty_like(self.rows["price"])
+        for lo in range(0, len(out), FORM_NODES):
+            nodes = slice(lo, lo + FORM_NODES)
+            out[nodes] = self._block(name, nodes)
+        return out
+
+    def __contains__(self, name) -> bool:
+        return name in RECORD_SERIES
+
+    def __iter__(self):
+        return iter(RECORD_SERIES)
+
+    def __len__(self) -> int:
+        return len(RECORD_SERIES)
+
+    def _block(self, name: str, nodes: slice) -> np.ndarray:
+        """Series ``name`` at ``nodes``: a stored row's view or a formed block."""
+        if name in self.rows or name == "q_trader_belief":
+            return self[name][nodes]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if name == "rate_trader":
+                f1, f2, f3 = (table[nodes, None] for table in self._trader)
+                eta = f1 * self.rows["signal"][nodes]
+                eta += f2 * self.rows["nu_hat"][nodes]
+                eta += f3 * self.rows["q_trader"][nodes]
+                return eta
+            if name == "alpha_hat_naive":
+                gamma = self._f3b[nodes, None] * self._block("q_trader_belief", nodes)
+                np.subtract(self._block("rate_trader", nodes), gamma, out=gamma)
+                gamma *= self._inv_f1b_c[nodes, None]
+                return gamma
+            first, *rest = self._active            # rate_broker
+            nu = self.term(first, nodes)
+            for j in rest:
+                nu += self.term(j, nodes)
+            return nu
+
+    def term(self, j: int, nodes: slice) -> np.ndarray:
+        """Rule column ``j`` times the state it reads, at ``nodes``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._rule[j, nodes, None] * self._block(self._reads[j], nodes)
+
+
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                    q0_draw: np.ndarray | None, record: bool, init: dict | None = None,
                    record_block: np.ndarray | None = None, carry: dict | None = None):
     """Advance a batch of paths under the config's broker rule.
 
     Returns (metrics, records): every metric is ``(paths,)``; records are
-    None unless ``record``, and then hold exactly the ``RECORD_SERIES``, each
-    ``(steps+1, paths)``, as the rows of ``record_block`` (a ``(series,
-    steps+1, paths)`` array, new when not given).  Step ``k`` records node
-    ``k`` of every series at its top and reads increment ``k`` only within
-    itself, so increment ``k`` may sit in node ``k + 1`` of the block.
+    None unless ``record``, and then a read-only mapping (``_Record``) of
+    exactly the ``RECORD_SERIES``, each ``(steps+1, paths)``.  It stores the
+    states the step advances (``_stored_series``: 10 series, 11 where the
+    belief is kept apart) as the rows of ``record_block`` (a ``(stored,
+    steps+1, paths)`` array, new when not given), in ``INIT_STATES`` order,
+    and forms the two rates and the naive readout on read, so the step
+    copies none of them and runs the naive readout only where the rule reads
+    it.  Step ``k`` records node ``k`` of every stored series at its top and
+    reads increment ``k`` only within itself, so increment ``k`` may sit in
+    node ``k + 1`` of the block.
 
     A call advances the batch by the steps of its increments ``eps``, the
     whole horizon unless ``carry`` is given.  ``carry`` holds the batch
@@ -391,6 +491,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         unknown = sorted(set(init) - set(INIT_STATES))
         if unknown:
             raise ValidationError(f"init names no state: {unknown}; states are {INIT_STATES}")
+        stored = _stored_series(config, init)
     k0 = carry["step"] if carry else 0
     k1 = k0 + eps.shape[0]
     if not k0 < k1 <= n_steps or (carry is None and k1 < n_steps):
@@ -407,7 +508,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     gain_flow, inv_scale = (tables.gain_flow, tables.inv_scale) if run_flow else (None, None)
 
     if carry:                          # the batch where its last slab left it
-        (price, price_next, x, acct_b, acct_i, q_ib, nu_hat, a_price, a_flow, probed, book,
+        (price, price_next, x, acct_b, acct_i, belief, nu_hat, a_price, a_flow, probed, book,
          gaps, notional, blow_step, gamma, ztil, rec) = carry["state"]
     else:
         def full(key, default):
@@ -432,7 +533,9 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         acct_i = np.stack([full("cash_trader", 0.0), full("q_trader", 0.0)])
         if config.mispecify_qi:
             acct_i[1] += q0_draw
-        q_ib = full("q_trader_belief", 0.0)
+        # the belief is kept apart only where it can differ from the client's
+        # inventory; elsewhere it is that inventory
+        belief = full("q_trader_belief", 0.0) if "q_trader_belief" in stored else None
         nu_hat = full("nu_hat", 0.0)
         a_price = full("alpha_hat_price", 0.0)
         a_flow = full("alpha_hat_flow", 0.0)
@@ -449,18 +552,19 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         rec = None
         if record:
             if record_block is None:
-                record_block = np.empty((len(RECORD_SERIES), n_steps + 1, m))
-            rec = dict(zip(RECORD_SERIES, record_block))
+                record_block = np.empty((len(stored), n_steps + 1, m))
+            rec = _Record(dict(zip(stored, record_block)), tables, setup)
         x[0] = f1[0] * x[3] + f2[0] * nu_hat + f3[0] * acct_i[1]
         gamma = ztil = None
         if need_gamma:
-            gamma = x[0] - f3b[0] * q_ib
+            gamma = x[0] - f3b[0] * (acct_i[1] if belief is None else belief)
             if run_flow:
                 ztil = gamma * inv_scale[0]
     eta, nu, flow, signal = x
     flow_signal = x[2:]
     x_b, q_b = acct_b
     x_i, q_i = acct_i
+    q_ib = q_i if belief is None else belief
 
     gap = np.empty((2, m))
     own = np.empty((2, m))             # the broker's own flow over a step
@@ -491,13 +595,11 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 nu += rule[j, k] * y[j]
 
             if record:
-                now = dict(price=price, signal=signal, flow=flow, rate_broker=nu,
-                           rate_trader=eta, q_broker=q_b, q_trader=q_i, q_trader_belief=q_ib,
-                           cash_broker=x_b, cash_trader=x_i, nu_hat=nu_hat,
-                           alpha_hat_price=a_price, alpha_hat_flow=a_flow,
-                           alpha_hat_naive=a_naive)
-                for name, value in now.items():
-                    rec[name][k] = value
+                now = dict(price=price, signal=signal, flow=flow, q_broker=q_b, q_trader=q_i,
+                           q_trader_belief=q_ib, cash_broker=x_b, cash_trader=x_i,
+                           nu_hat=nu_hat, alpha_hat_price=a_price, alpha_hat_flow=a_flow)
+                for name, row in rec.rows.items():
+                    row[k] = now[name]
 
             # |eta| + |nu| + |flow|, summed row by row in that order; the
             # cost rows, formed later in the step, hold the absolute values
@@ -525,7 +627,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             acct_b -= client
             acct_i += client
             book += own
-            q_ib += x_dt[0]
+            if belief is not None:
+                belief += x_dt[0]
 
             np.add(impact, price, out=price_next)
             price_next += x_dt[3]
@@ -581,9 +684,9 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 blown |= fresh
 
     if carry is not None:
-        carry.update(step=k1, state=(price, price_next, x, acct_b, acct_i, q_ib, nu_hat, a_price,
-                                     a_flow, probed, book, gaps, notional, blow_step, gamma,
-                                     ztil, rec), setup=setup)
+        carry.update(step=k1, state=(price, price_next, x, acct_b, acct_i, belief, nu_hat,
+                                     a_price, a_flow, probed, book, gaps, notional, blow_step,
+                                     gamma, ztil, rec), setup=setup)
     with np.errstate(over="ignore", invalid="ignore"):
         wealth_b = x_b + q_b * price
         wealth_i = x_i + q_i * price
@@ -615,9 +718,7 @@ def simulate_path(params: ModelParams, trader: TraderCoefficients,
     series = {name: rec[name][:, 0].copy() for name in RECORD_SERIES}
     scalars = {key: value[0].item() for key, value in metrics.items()}
     # the rate's terms: each rule column times the state it reads, node by node
-    state = np.stack([series["q_broker"], series[f"alpha_hat_{config.signal_source}"],
-                      series["flow"], series["q_trader_belief"]], axis=1)
-    components = _broker_rule(tables, config)[:, :4] * state
+    components = np.concatenate([rec.term(j, slice(None)) for j in range(4)], axis=1)
     return PathResult(grid=trader.grid, config=config, seed=config.seed, t=trader.grid.times,
                       components=components, **scalars, **series)
 
@@ -626,11 +727,16 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
                       config: StrategyConfig, n_paths: int, base_seed: int):
     """Record full series for a batch of paths; returns (metrics, records).
 
-    The records hold exactly the ``RECORD_SERIES``, each ``(steps+1,
-    n_paths)``; the rate's components are not stored (``simulate_path``
-    derives them for its one path).  The batch's noise is drawn into its
-    record, so its peak allocation is the record plus ``(n_paths,)``
-    temporaries.  ``base_seed`` replaces ``config.seed``.
+    The records map each of the ``RECORD_SERIES`` to its ``(steps+1,
+    n_paths)`` array.  They store the 10 states the step advances, 11 with
+    ``mispecify_qi`` (the broker's belief of the client's inventory, which
+    is otherwise the client's inventory), and form ``rate_trader``,
+    ``alpha_hat_naive`` and ``rate_broker`` on read, each a new array
+    bit-identical to the step's value.  The rate's components are not stored
+    (``simulate_path`` forms them for its one path).  The batch's noise is
+    drawn into its record, so its peak allocation is the stored rows plus
+    ``(n_paths,)`` temporaries, and one series more for each formed one the
+    caller holds.  ``base_seed`` replaces ``config.seed``.
     """
     _check_counts(n_paths=n_paths)
     config = replace(config, seed=base_seed)
@@ -641,11 +747,13 @@ def _record_batch(tables: _Tables, config: StrategyConfig, path_indices,
                   init: dict | None = None):
     """Run the paths ``path_indices`` with a record; returns (metrics, records).
 
-    The noise is drawn into nodes ``1..steps`` of the record's last three
-    series, so the batch allocates its record and nothing else of its size.
+    The block holds the series ``_stored_series`` names, and the noise is
+    drawn into nodes ``1..steps`` of its last three (``nu_hat``,
+    ``alpha_hat_price``, ``alpha_hat_flow``), so the batch allocates its
+    stored rows and nothing else of their size.
     """
     steps = tables.grid.steps
-    block = np.empty((len(RECORD_SERIES), steps + 1, len(path_indices)))
+    block = np.empty((len(_stored_series(config, init)), steps + 1, len(path_indices)))
     q0, eps = _draw_noise(config.seed, path_indices, steps,
                           out=block[-3:, 1:].transpose(1, 0, 2))
     return _simulate_core(tables, config, eps, q0, record=True, init=init,

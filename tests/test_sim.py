@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brokergame as bg
-from brokergame.sim import (BROKER_MODES, CoefficientBundle, _broker_rule, _draw_noise,
-                            _simulate_core, _Tables)
+from brokergame.sim import (BROKER_MODES, SIGNAL_SOURCES, CoefficientBundle, _broker_rule,
+                            _draw_noise, _simulate_core, _Tables)
 
 
 def _zero_noise_params():
@@ -339,25 +339,44 @@ def test_simulate_recorded_rejects_non_integral_counts(params, bundle200):
     assert metrics["wealth_broker"].shape == (2,)
 
 
-def test_recorded_batch_stores_only_the_record_series(params, bundles50):
-    # the peak allocation of a recorded batch is its record plus a few
-    # (paths,) temporaries: the noise is drawn into the record, so a separate
-    # (steps, 3, paths) noise buffer (480,000 bytes) breaks the bound, as does
-    # a (steps+1, 4, paths) block more, such as the rate's components
-    bundle, steps, m = bundles50[0.0], 50, 400
-    record_bytes = len(bg.sim.RECORD_SERIES) * (steps + 1) * m * 8
-    slack = 320_000                        # under the noise buffer's 480,000 bytes
-    assert slack < steps * 3 * m * 8
-    assert slack < 4 * (steps + 1) * m * 8
-    bg.simulate_recorded(params, bundle, bg.StrategyConfig(), 2, 5)   # lazy imports
-    tracemalloc.start()
-    try:
-        _, rec = bg.simulate_recorded(params, bundle, bg.StrategyConfig(), m, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert set(rec) == set(bg.sim.RECORD_SERIES)
-    assert peak < record_bytes + slack, peak
+def test_recorded_batch_stores_only_the_record_series(params, bundle200):
+    # the peak allocation of a recorded batch is its stored rows plus a few
+    # (paths,) temporaries and the draw's path block, about 220,000 bytes:
+    # the noise is drawn into the record and the two rates and the naive
+    # readout are formed on read.  The slack is under one series, so a row
+    # more than the states the step advances (10, or 11 with the belief kept
+    # apart) breaks the bound, as does a separate noise buffer
+    steps, m = bundle200.trader.grid.steps, 200
+    series_bytes = (steps + 1) * m * 8
+    slack = 280_000                        # under one series's 321,600 bytes
+    assert slack < series_bytes < steps * 3 * m * 8
+    bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), 2, 5)   # lazy imports
+    for config, rows in ((bg.StrategyConfig(), 10), (bg.StrategyConfig(mispecify_qi=True), 11)):
+        tracemalloc.start()
+        try:
+            _, rec = bg.simulate_recorded(params, bundle200, config, m, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(rec) == set(bg.sim.RECORD_SERIES)
+        assert peak < rows * series_bytes + slack, (rows, peak)
+
+
+def test_record_membership_forms_no_series(params, bundle200, monkeypatch):
+    # a membership test answers from the names, not by forming the series;
+    # each read of a formed series is a new array
+    _, rec = bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), 200, 5)
+    first = rec["rate_broker"]
+
+    def refuse(*args):
+        raise AssertionError(f"formed {args[1]}")
+
+    monkeypatch.setattr(bg.sim._Record, "_block", refuse)
+    assert all(name in rec for name in bg.sim.RECORD_SERIES)
+    assert "rate" not in rec and "rate_broker" in rec.keys()
+    monkeypatch.undo()
+    again = rec["rate_broker"]
+    assert again is not first and np.array_equal(again, first)
 
 
 def test_experiment_chunk_holds_one_slab_of_noise(params, monkeypatch):
@@ -433,6 +452,84 @@ def test_one_slab_chunk_keeps_no_generators(params, monkeypatch):
                       chunk_size=3)
     assert [len(streams) for streams in draws] == [3, 3, 2, 2]
     assert all(carry["step"] == slab + 1 for carry in cores)
+
+
+def _kernel_values(tables, config, eps, q0, init, record):
+    """The client's rate, the broker's rate and the naive readout the kernel
+    itself holds (the readout None where it forms none).  Advanced one step
+    per call, the batch's state holds the client's rate and gamma of the
+    node the call reached and the broker's rate of the node it left (on the
+    last call, of the horizon's node); gamma only where the flow filter or
+    the naive readout runs."""
+    n, m = eps.shape[:2]
+    eta, nu, naive = (np.full((n + 1, m), np.nan) for _ in range(3))
+    carry = {}
+    for k in range(n):
+        _simulate_core(tables, config, eps[k:k + 1], q0, record=record, init=init, carry=carry)
+        x, gamma = carry["state"][2], carry["state"][14]
+        eta[k + 1] = x[0]
+        nu[k if k < n - 1 else n] = x[1]
+        if gamma is None:
+            naive = None
+        else:
+            naive[k + 1] = gamma * carry["setup"][-1][k + 1]
+    return eta, nu, naive, carry["setup"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")        # the blown batch
+@pytest.mark.parametrize("mode", BROKER_MODES)
+@pytest.mark.parametrize("source", ["price", "flow", "naive"])
+def test_formed_series_equal_the_kernels_own_values(mode, source):
+    # a record forms the client's rate, the broker's rate and the naive
+    # readout on read; each equals, bit for bit, the value the step held,
+    # read from the state of a batch advanced one step per call, recorded
+    # (every filter runs, so gamma is formed on every arm) and not.  The two
+    # nodes no state exposes between calls, the rates' first node and the
+    # broker's rate at node steps - 1, are summed in Python floats from the
+    # kernel's values
+    steps, m, seed = 20, 6, 13
+    grid = bg.TimeGrid(1.0, steps)
+    same = lambda a, b: np.array_equal(a, b, equal_nan=True)
+    bundles = {rho: bg.build_coefficients(bg.DEFAULT_PARAMS.replace(rho=rho), grid)
+               for rho in (0.0, 0.4)}
+    cases = [(bg.DEFAULT_PARAMS, bundles[0.0], False, None),
+             (bg.DEFAULT_PARAMS.replace(rho=0.4), bundles[0.4], False, None),
+             (bg.DEFAULT_PARAMS.replace(rho=0.4), bundles[0.4], True, None),
+             (bg.DEFAULT_PARAMS, bundles[0.0], True, None),
+             (bg.DEFAULT_PARAMS, bundles[0.0], False, {"q_trader": 0.8}),
+             (bg.DEFAULT_PARAMS.replace(sigma_signal=1e140), bundles[0.0], False, None)]
+    for case, (params, bundle, mispecify, init) in enumerate(cases):
+        tables = _Tables(params, params, bundle)
+        config = bg.StrategyConfig(broker_mode=mode, signal_source=source,
+                                   mispecify_qi=mispecify, seed=seed)
+        q0, eps = _draw_noise(seed, range(m), steps)
+        metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
+        for record in (False, True):
+            eta, nu, naive, setup = _kernel_values(tables, config, eps, q0, init, record)
+            assert same(rec["rate_trader"][1:], eta[1:]), (case, record)
+            assert same(rec["rate_broker"][:-2], nu[:-2]), (case, record)
+            assert same(rec["rate_broker"][-1], nu[-1]), (case, record)
+            if naive is not None:
+                assert same(rec["alpha_hat_naive"][1:], naive[1:]), (case, record)
+            else:
+                assert not (record or source == "naive" and mode == "optimal")
+        rule, active, inv_f1b_c = setup[0], setup[1], setup[-1]
+        columns = (rec["q_broker"], (rec["alpha_hat_price"], rec["alpha_hat_flow"], naive)[
+            SIGNAL_SOURCES.index(source)], rec["flow"], rec["q_trader_belief"], eta)
+        for i in range(m):
+            eta0 = (float(tables.f1[0]) * float(rec["signal"][0, i])
+                    + float(tables.f2[0]) * float(rec["nu_hat"][0, i])
+                    + float(tables.f3[0]) * float(rec["q_trader"][0, i]))
+            naive0 = ((eta0 - float(tables.f3_belief[0]) * float(rec["q_trader_belief"][0, i]))
+                      * float(inv_f1b_c[0]))
+            terms = [float(rule[j, steps - 1]) * float(columns[j][steps - 1, i]) for j in active]
+            nu_last = terms[0]
+            for term in terms[1:]:
+                nu_last += term
+            assert same(rec["rate_trader"][0, i], eta0), (case, i)
+            assert same(rec["alpha_hat_naive"][0, i], naive0), (case, i)
+            assert same(rec["rate_broker"][steps - 1, i], nu_last), (case, i)
+    assert metrics["blown"].all() and (metrics["blow_step"] < 5).all()   # the last batch
 
 
 @pytest.mark.parametrize("mode", BROKER_MODES)
