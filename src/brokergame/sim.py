@@ -10,12 +10,13 @@ the count of numpy calls per step, at a few thousand by the bytes they move.
 So it forms only what the arm reads: each of the broker's estimates runs only
 where the rule reads it, each filter also where the series are recorded, and
 their diagnostics come from the records.  A record stores only the states the
-step advances; it forms the client's rate, the broker's rate and the naive
-readout on read with the step's operations, and the broker's belief of the
-client's inventory is that inventory unless the two can differ.  And
-quantities of one shape sit in ``(rows, paths)`` blocks, so that one call
-forms the dt products, the absolute traded rates, the three trade costs or
-the loaded noise.  A block's per-row constants are spread to full shape
+step advances that have dynamics of their own; it forms the client's rate,
+the broker's rate, the naive readout and both cash accounts (each its start
+plus the running sum of the step's trade costs) on read with the step's
+operations, and the broker's belief of the client's inventory is that
+inventory unless the two can differ.  And quantities of one shape sit in
+``(rows, paths)`` blocks, so that one call forms the dt products, the
+absolute traded rates, the three trade costs or the loaded noise.  A block's per-row constants are spread to full shape
 rather than broadcast as a column, which numpy runs several times slower, and
 each value is formed with the operations of the row-by-row step, in its
 order, so the results are bit-identical to it.  The step stays elementwise: a
@@ -80,7 +81,7 @@ RECORD_SERIES = (
     "nu_hat", "alpha_hat_price", "alpha_hat_flow", "alpha_hat_naive",
 )
 # the states the step advances: the series a path can start from
-# (``simulate_path``'s ``init``) and the ones a record stores
+# (``simulate_path``'s ``init``); a record stores those ``_stored_series`` names
 INIT_STATES = (
     "price", "signal", "flow", "q_broker", "q_trader", "q_trader_belief",
     "cash_broker", "cash_trader", "nu_hat", "alpha_hat_price", "alpha_hat_flow",
@@ -368,36 +369,56 @@ def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) ->
             c_nu, c_price, c_flow, carry_ztil, g9_dt, inv_f1b_c)
 
 
+def _trade_costs(coef, rate, price, rate_dt, out=None) -> np.ndarray:
+    """The cost ``(coef * rate + price) * (rate * dt)`` of trading at
+    ``rate`` over a step, ``rate_dt`` being ``rate * dt``: the step forms the
+    costs of (eta, nu, flow) with it, and a record its cash accounts."""
+    out = np.multiply(coef, rate, out=out)
+    out += price
+    out *= rate_dt
+    return out
+
+
 def _stored_series(config: StrategyConfig, init: dict | None) -> tuple:
     """The series a record of a batch stores: the states the step advances
-    (``INIT_STATES``), less the broker's belief of the client's inventory
-    where it is the client's inventory bit for bit.  Both advance by the same
-    client trade, so they stay equal unless ``mispecify_qi`` draws the
-    client's start or ``init`` names either; the step then keeps no belief
-    of its own either."""
+    (``INIT_STATES``) less the two cash accounts, which a record forms from
+    their starts and the stored rows, and less the broker's belief of the
+    client's inventory where it is the client's inventory bit for bit.  Both
+    advance by the same client trade, so they stay equal unless
+    ``mispecify_qi`` draws the client's start or ``init`` names either; the
+    step then keeps no belief of its own either."""
     apart = config.mispecify_qi or not {"q_trader", "q_trader_belief"}.isdisjoint(init or ())
-    return tuple(name for name in INIT_STATES if apart or name != "q_trader_belief")
+    return tuple(name for name in INIT_STATES if name not in ("cash_broker", "cash_trader")
+                 and (apart or name != "q_trader_belief"))
 
 
 class _Record(Mapping):
     """A recorded batch's ``RECORD_SERIES``, each ``(steps+1, paths)``.
 
-    ``rows`` holds the stored series (``_stored_series``).  The client's
-    rate, the naive readout and the broker's rate are formed on read,
-    ``FORM_NODES`` nodes at a time into one new array, from the stored
-    series and the arm's set-up, with the step's operations in its order,
-    so each equals the value the step formed bit for bit; the broker's rate
-    reads only the series of the rule's active columns.  Each read forms a
-    new array from the stored rows as they are then; a membership test
-    forms nothing.
+    ``rows`` holds the stored series (``_stored_series``) and ``cash`` each
+    path's starting cash of both accounts.  The client's rate, the naive
+    readout and the broker's rate are formed on read, ``FORM_NODES`` nodes at
+    a time into one new array, from the stored series and the arm's set-up.
+    Each cash account is formed on read as its start plus the running sum,
+    node by node, of the trade costs (``_trade_costs``) of price and the
+    three rates, whose blocks are formed ``FORM_NODES`` nodes at a time.
+    Every formed series takes the step's operations in its order, so it
+    equals the value the step formed bit for bit; the broker's rate reads
+    only the series of the rule's active columns.  Each read forms a new
+    array from the stored rows as they are then; a membership test forms
+    nothing.
     """
 
-    def __init__(self, rows: dict, tables: _Tables, setup: tuple):
+    def __init__(self, rows: dict, tables: _Tables, setup: tuple, cash: dict):
         self.rows = rows
+        self.cash = cash
         self._trader = (tables.f1, tables.f2, tables.f3)
         self._f3b = tables.f3_belief
         self._rule, self._active, source = setup[:3]
         self._inv_f1b_c = setup[-1]
+        self._dt = tables.grid.dt
+        # each traded rate's cost coefficient: a column of the step's cost_coef
+        self._coef = dict(zip(("rate_trader", "rate_broker", "flow"), setup[8][:, 0]))
         # the state each rule column reads, as in the step's y
         self._reads = ("q_broker", f"alpha_hat_{SIGNAL_SOURCES[source]}", "flow",
                        "q_trader_belief", "rate_trader")
@@ -409,6 +430,8 @@ class _Record(Mapping):
             return self.rows["q_trader"]
         if name not in RECORD_SERIES:
             raise KeyError(name)
+        if name in self.cash:
+            return self._cash(name)
         out = np.empty_like(self.rows["price"])
         for lo in range(0, len(out), FORM_NODES):
             nodes = slice(lo, lo + FORM_NODES)
@@ -424,10 +447,22 @@ class _Record(Mapping):
     def __len__(self) -> int:
         return len(RECORD_SERIES)
 
-    def _block(self, name: str, nodes: slice) -> np.ndarray:
-        """Series ``name`` at ``nodes``: a stored row's view or a formed block."""
+    def _block(self, name: str, nodes: slice, formed: dict | None = None) -> np.ndarray:
+        """Series ``name`` at ``nodes``: a stored row's view or a formed block
+        of a rate or the naive readout; a cash account is no block of nodes.
+        ``formed`` keeps the blocks formed at these ``nodes``, which nothing
+        writes into, so the client's rate that the naive readout, the
+        broker's rate and a cash account each read is formed once."""
         if name in self.rows or name == "q_trader_belief":
             return self[name][nodes]
+        if formed is None:
+            formed = {}
+        if name not in formed:
+            formed[name] = self._form(name, nodes, formed)
+        return formed[name]
+
+    def _form(self, name: str, nodes: slice, formed: dict) -> np.ndarray:
+        """Form the block of a rate or the naive readout at ``nodes``."""
         with np.errstate(over="ignore", invalid="ignore"):
             if name == "rate_trader":
                 f1, f2, f3 = (table[nodes, None] for table in self._trader)
@@ -437,19 +472,51 @@ class _Record(Mapping):
                 return eta
             if name == "alpha_hat_naive":
                 gamma = self._f3b[nodes, None] * self._block("q_trader_belief", nodes)
-                np.subtract(self._block("rate_trader", nodes), gamma, out=gamma)
+                np.subtract(self._block("rate_trader", nodes, formed), gamma, out=gamma)
                 gamma *= self._inv_f1b_c[nodes, None]
                 return gamma
-            first, *rest = self._active            # rate_broker
-            nu = self.term(first, nodes)
-            for j in rest:
-                nu += self.term(j, nodes)
-            return nu
+            if name == "rate_broker":
+                first, *rest = self._active
+                nu = self.term(first, nodes, formed)
+                for j in rest:
+                    nu += self.term(j, nodes, formed)
+                return nu
+        raise KeyError(name)
 
-    def term(self, j: int, nodes: slice) -> np.ndarray:
+    def term(self, j: int, nodes: slice, formed: dict | None = None) -> np.ndarray:
         """Rule column ``j`` times the state it reads, at ``nodes``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._rule[j, nodes, None] * self._block(self._reads[j], nodes)
+            return self._rule[j, nodes, None] * self._block(self._reads[j], nodes, formed)
+
+    def _cost(self, rate: str, nodes: slice, formed: dict) -> np.ndarray:
+        """The trade cost of ``rate`` over the steps at ``nodes``."""
+        r = self._block(rate, nodes, formed)
+        return _trade_costs(self._coef[rate], r, self.rows["price"][nodes], r * self._dt)
+
+    def _cash(self, name: str) -> np.ndarray:
+        """Cash account ``name``: node ``k + 1`` is node ``k`` plus step
+        ``k``'s flows, added row by row as the step adds them: the broker's
+        own flow ``cost_flow - cost_nu``, then less the client's payment
+        ``-cost_eta``, which the client's account adds."""
+        out = np.empty_like(self.rows["price"])
+        out[0] = self.cash[name]
+        steps = len(out) - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, steps, FORM_NODES):
+                nodes = slice(lo, min(lo + FORM_NODES, steps))
+                formed = {}
+                client = self._cost("rate_trader", nodes, formed)
+                np.negative(client, out=client)
+                if name == "cash_trader":
+                    for now, nxt, pay in zip(out[lo:], out[lo + 1:], client):
+                        np.add(now, pay, out=nxt)
+                else:
+                    own = self._cost("flow", nodes, formed)
+                    own -= self._cost("rate_broker", nodes, formed)
+                    for now, nxt, flow, pay in zip(out[lo:], out[lo + 1:], own, client):
+                        np.add(now, flow, out=nxt)
+                        nxt -= pay
+        return out
 
 
 def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
@@ -460,14 +527,15 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     Returns (metrics, records): every metric is ``(paths,)``; records are
     None unless ``record``, and then a read-only mapping (``_Record``) of
     exactly the ``RECORD_SERIES``, each ``(steps+1, paths)``.  It stores the
-    states the step advances (``_stored_series``: 10 series, 11 where the
-    belief is kept apart) as the rows of ``record_block`` (a ``(stored,
-    steps+1, paths)`` array, new when not given), in ``INIT_STATES`` order,
-    and forms the two rates and the naive readout on read, so the step
-    copies none of them and runs the naive readout only where the rule reads
-    it.  Step ``k`` records node ``k`` of every stored series at its top and
-    reads increment ``k`` only within itself, so increment ``k`` may sit in
-    node ``k + 1`` of the block.
+    states the step advances less the cash accounts (``_stored_series``: 8
+    series, 9 where the belief is kept apart) as the rows of
+    ``record_block`` (a ``(stored, steps+1, paths)`` array, new when not
+    given), in ``INIT_STATES`` order, and each path's starting cash; it forms
+    the two rates, the naive readout and both cash accounts on read, so the
+    step copies none of them and runs the naive readout only where the rule
+    reads it.  Step ``k`` records node ``k`` of every stored series at its
+    top and reads increment ``k`` only within itself, so increment ``k`` may
+    sit in node ``k + 1`` of the block.
 
     A call advances the batch by the steps of its increments ``eps``, the
     whole horizon unless ``carry`` is given.  ``carry`` holds the batch
@@ -553,7 +621,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
         if record:
             if record_block is None:
                 record_block = np.empty((len(stored), n_steps + 1, m))
-            rec = _Record(dict(zip(stored, record_block)), tables, setup)
+            rec = _Record(dict(zip(stored, record_block)), tables, setup,
+                          {"cash_broker": acct_b[0].copy(), "cash_trader": acct_i[0].copy()})
         x[0] = f1[0] * x[3] + f2[0] * nu_hat + f3[0] * acct_i[1]
         gamma = ztil = None
         if need_gamma:
@@ -596,8 +665,8 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
 
             if record:
                 now = dict(price=price, signal=signal, flow=flow, q_broker=q_b, q_trader=q_i,
-                           q_trader_belief=q_ib, cash_broker=x_b, cash_trader=x_i,
-                           nu_hat=nu_hat, alpha_hat_price=a_price, alpha_hat_flow=a_flow)
+                           q_trader_belief=q_ib, nu_hat=nu_hat, alpha_hat_price=a_price,
+                           alpha_hat_flow=a_flow)
                 for name, row in rec.rows.items():
                     row[k] = now[name]
 
@@ -617,9 +686,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             np.multiply(loads, noise[k - k0], out=shocks)
             np.multiply(x, dt, out=x_dt)
             np.multiply(nu, impact_dt, out=impact)
-            np.multiply(cost_coef, x[:3], out=costs)
-            costs += price
-            costs *= x_dt[:3]
+            _trade_costs(cost_coef, x[:3], price, x_dt[:3], out=costs)
             np.negative(costs[0], out=client[0])
             np.subtract(costs[2], costs[1], out=own[0])
             np.subtract(x_dt[1], x_dt[2], out=own[1])
@@ -728,15 +795,22 @@ def simulate_recorded(params: ModelParams, bundle: CoefficientBundle,
     """Record full series for a batch of paths; returns (metrics, records).
 
     The records map each of the ``RECORD_SERIES`` to its ``(steps+1,
-    n_paths)`` array.  They store the 10 states the step advances, 11 with
+    n_paths)`` array.  They store 8 of the states the step advances, 9 with
     ``mispecify_qi`` (the broker's belief of the client's inventory, which
     is otherwise the client's inventory), and form ``rate_trader``,
-    ``alpha_hat_naive`` and ``rate_broker`` on read, each a new array
-    bit-identical to the step's value.  The rate's components are not stored
-    (``simulate_path`` forms them for its one path).  The batch's noise is
-    drawn into its record, so its peak allocation is the stored rows plus
-    ``(n_paths,)`` temporaries, and one series more for each formed one the
-    caller holds.  ``base_seed`` replaces ``config.seed``.
+    ``alpha_hat_naive``, ``rate_broker``, ``cash_broker`` and
+    ``cash_trader`` on read, each a new array bit-identical to the step's
+    value; a cash account is its start plus the running sum of the step's
+    trade costs.  A formed series reads the stored rows as they are when it
+    is read, so an edit to a stored row moves every series formed from it
+    (an edited ``price`` moves both cash accounts from the next node on).
+    Where the belief is not kept apart, ``q_trader_belief`` is the
+    ``q_trader`` row itself, so a write into one writes into both.  The
+    rate's components are not stored (``simulate_path`` forms them for
+    its one path).  The batch's noise is drawn into its record, so its peak
+    allocation is the stored rows plus ``(n_paths,)`` temporaries, and one
+    series more for each formed one the caller holds.  ``base_seed``
+    replaces ``config.seed``.
     """
     _check_counts(n_paths=n_paths)
     config = replace(config, seed=base_seed)
@@ -747,10 +821,10 @@ def _record_batch(tables: _Tables, config: StrategyConfig, path_indices,
                   init: dict | None = None):
     """Run the paths ``path_indices`` with a record; returns (metrics, records).
 
-    The block holds the series ``_stored_series`` names, and the noise is
-    drawn into nodes ``1..steps`` of its last three (``nu_hat``,
-    ``alpha_hat_price``, ``alpha_hat_flow``), so the batch allocates its
-    stored rows and nothing else of their size.
+    The block holds the series ``_stored_series`` names (no cash account),
+    and the noise is drawn into nodes ``1..steps`` of its last three
+    (``nu_hat``, ``alpha_hat_price``, ``alpha_hat_flow``), so the batch
+    allocates its stored rows and nothing else of their size.
     """
     steps = tables.grid.steps
     block = np.empty((len(_stored_series(config, init)), steps + 1, len(path_indices)))

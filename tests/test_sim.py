@@ -342,16 +342,17 @@ def test_simulate_recorded_rejects_non_integral_counts(params, bundle200):
 def test_recorded_batch_stores_only_the_record_series(params, bundle200):
     # the peak allocation of a recorded batch is its stored rows plus a few
     # (paths,) temporaries and the draw's path block, about 220,000 bytes:
-    # the noise is drawn into the record and the two rates and the naive
-    # readout are formed on read.  The slack is under one series, so a row
-    # more than the states the step advances (10, or 11 with the belief kept
-    # apart) breaks the bound, as does a separate noise buffer
+    # the noise is drawn into the record, and the two rates, the naive
+    # readout and both cash accounts are formed on read.  The slack is under
+    # one series, so a row more than the states the step advances less the
+    # cash accounts (8, or 9 with the belief kept apart) breaks the bound, as
+    # do a stored cash row and a separate noise buffer
     steps, m = bundle200.trader.grid.steps, 200
     series_bytes = (steps + 1) * m * 8
     slack = 280_000                        # under one series's 321,600 bytes
     assert slack < series_bytes < steps * 3 * m * 8
     bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), 2, 5)   # lazy imports
-    for config, rows in ((bg.StrategyConfig(), 10), (bg.StrategyConfig(mispecify_qi=True), 11)):
+    for config, rows in ((bg.StrategyConfig(), 8), (bg.StrategyConfig(mispecify_qi=True), 9)):
         tracemalloc.start()
         try:
             _, rec = bg.simulate_recorded(params, bundle200, config, m, 5)
@@ -377,6 +378,15 @@ def test_record_membership_forms_no_series(params, bundle200, monkeypatch):
     monkeypatch.undo()
     again = rec["rate_broker"]
     assert again is not first and np.array_equal(again, first)
+
+
+def test_record_block_forms_only_the_series_it_names(params, bundle200):
+    # a block is a stored row, a rate or the naive readout; any other name
+    # raises rather than returning some other formed series
+    _, rec = bg.simulate_recorded(params, bundle200, bg.StrategyConfig(), 3, 5)
+    for name in ("cash_broker", "wealth_broker", "rate"):
+        with pytest.raises(KeyError, match=name):
+            rec._block(name, slice(0, 4))
 
 
 def test_experiment_chunk_holds_one_slab_of_noise(params, monkeypatch):
@@ -455,38 +465,42 @@ def test_one_slab_chunk_keeps_no_generators(params, monkeypatch):
 
 
 def _kernel_values(tables, config, eps, q0, init, record):
-    """The client's rate, the broker's rate and the naive readout the kernel
-    itself holds (the readout None where it forms none).  Advanced one step
-    per call, the batch's state holds the client's rate and gamma of the
-    node the call reached and the broker's rate of the node it left (on the
-    last call, of the horizon's node); gamma only where the flow filter or
-    the naive readout runs."""
+    """The client's rate, the broker's rate, the naive readout and both cash
+    accounts the kernel itself holds (the readout None where it forms none).
+    Advanced one step per call, the batch's state holds the client's rate,
+    gamma and the accounts of the node the call reached and the broker's
+    rate of the node it left (on the last call, of the horizon's node); gamma
+    only where the flow filter or the naive readout runs.  Node 0 of each
+    account is its start, 0 unless ``init`` names it."""
     n, m = eps.shape[:2]
-    eta, nu, naive = (np.full((n + 1, m), np.nan) for _ in range(3))
+    eta, nu, naive, cash_b, cash_i = (np.full((n + 1, m), np.nan) for _ in range(5))
+    cash_b[0], cash_i[0] = ((init or {}).get(name, 0.0) for name in ("cash_broker", "cash_trader"))
     carry = {}
     for k in range(n):
         _simulate_core(tables, config, eps[k:k + 1], q0, record=record, init=init, carry=carry)
-        x, gamma = carry["state"][2], carry["state"][14]
+        x, acct_b, acct_i, gamma = (carry["state"][j] for j in (2, 3, 4, 14))
         eta[k + 1] = x[0]
         nu[k if k < n - 1 else n] = x[1]
+        cash_b[k + 1], cash_i[k + 1] = acct_b[0], acct_i[0]
         if gamma is None:
             naive = None
         else:
             naive[k + 1] = gamma * carry["setup"][-1][k + 1]
-    return eta, nu, naive, carry["setup"]
+    return eta, nu, naive, cash_b, cash_i, carry["setup"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")        # the blown batch
 @pytest.mark.parametrize("mode", BROKER_MODES)
 @pytest.mark.parametrize("source", ["price", "flow", "naive"])
 def test_formed_series_equal_the_kernels_own_values(mode, source):
-    # a record forms the client's rate, the broker's rate and the naive
-    # readout on read; each equals, bit for bit, the value the step held,
-    # read from the state of a batch advanced one step per call, recorded
-    # (every filter runs, so gamma is formed on every arm) and not.  The two
-    # nodes no state exposes between calls, the rates' first node and the
-    # broker's rate at node steps - 1, are summed in Python floats from the
-    # kernel's values
+    # a record forms the client's rate, the broker's rate, the naive readout
+    # and both cash accounts on read; each equals, bit for bit, the value the
+    # step held, read from the state of a batch advanced one step per call,
+    # recorded (every filter runs, so gamma is formed on every arm) and not,
+    # at every node of each account, also from a cash init and on the blown
+    # batch.  The two nodes no state exposes between calls, the rates' first
+    # node and the broker's rate at node steps - 1, are summed in Python
+    # floats from the kernel's values
     steps, m, seed = 20, 6, 13
     grid = bg.TimeGrid(1.0, steps)
     same = lambda a, b: np.array_equal(a, b, equal_nan=True)
@@ -497,6 +511,7 @@ def test_formed_series_equal_the_kernels_own_values(mode, source):
              (bg.DEFAULT_PARAMS.replace(rho=0.4), bundles[0.4], True, None),
              (bg.DEFAULT_PARAMS, bundles[0.0], True, None),
              (bg.DEFAULT_PARAMS, bundles[0.0], False, {"q_trader": 0.8}),
+             (bg.DEFAULT_PARAMS, bundles[0.0], False, {"cash_broker": 3.5, "cash_trader": -1.25}),
              (bg.DEFAULT_PARAMS.replace(sigma_signal=1e140), bundles[0.0], False, None)]
     for case, (params, bundle, mispecify, init) in enumerate(cases):
         tables = _Tables(params, params, bundle)
@@ -505,7 +520,10 @@ def test_formed_series_equal_the_kernels_own_values(mode, source):
         q0, eps = _draw_noise(seed, range(m), steps)
         metrics, rec = _simulate_core(tables, config, eps, q0, record=True, init=init)
         for record in (False, True):
-            eta, nu, naive, setup = _kernel_values(tables, config, eps, q0, init, record)
+            eta, nu, naive, cash_b, cash_i, setup = _kernel_values(tables, config, eps, q0,
+                                                                    init, record)
+            assert same(rec["cash_broker"], cash_b), (case, record)
+            assert same(rec["cash_trader"], cash_i), (case, record)
             assert same(rec["rate_trader"][1:], eta[1:]), (case, record)
             assert same(rec["rate_broker"][:-2], nu[:-2]), (case, record)
             assert same(rec["rate_broker"][-1], nu[-1]), (case, record)
