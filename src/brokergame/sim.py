@@ -349,7 +349,7 @@ def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) ->
     spread = lambda *rows: np.repeat(np.array(rows)[:, None], m, axis=1)
     loads = spread(p.sigma_price * sqdt, p.sigma_signal * rho_c * sqdt, p.sigma_flow * sqdt)
     decay = spread(1.0 - p.kappa_flow * dt, 1.0 - p.kappa_signal * dt)
-    cost_coef = spread(p.fee_informed, p.temp_impact, p.fee_uninformed)
+    cost_coef = spread(*_cost_coefs(p))
     # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k: the
     # speed filter observes dy = dprice - signal dt, the price filter dz =
     # dprice - impact_dt nu and the flow filter ztil' - (1 + g6 dt) ztil -
@@ -367,6 +367,12 @@ def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) ->
     inv_f1b_c = 1.0 / tables.f1_belief[np.minimum(np.arange(n_steps + 1), n_steps - 1)]
     return (rule, active, source, run_price, run_flow, run_naive, loads, decay, cost_coef,
             c_nu, c_price, c_flow, carry_ztil, g9_dt, inv_f1b_c)
+
+
+def _cost_coefs(p: ModelParams) -> tuple:
+    """The cost coefficients of trading at (eta, nu, flow): the client's fee,
+    the broker's temporary impact and the uninformed flow's fee."""
+    return p.fee_informed, p.temp_impact, p.fee_uninformed
 
 
 def _trade_costs(coef, rate, price, rate_dt, out=None) -> np.ndarray:
@@ -417,8 +423,7 @@ class _Record(Mapping):
         self._rule, self._active, source = setup[:3]
         self._inv_f1b_c = setup[-1]
         self._dt = tables.grid.dt
-        # each traded rate's cost coefficient: a column of the step's cost_coef
-        self._coef = dict(zip(("rate_trader", "rate_broker", "flow"), setup[8][:, 0]))
+        self._coef = dict(zip(("rate_trader", "rate_broker", "flow"), _cost_coefs(tables.true)))
         # the state each rule column reads, as in the step's y
         self._reads = ("q_broker", f"alpha_hat_{SIGNAL_SOURCES[source]}", "flow",
                        "q_trader_belief", "rate_trader")
@@ -447,22 +452,11 @@ class _Record(Mapping):
     def __len__(self) -> int:
         return len(RECORD_SERIES)
 
-    def _block(self, name: str, nodes: slice, formed: dict | None = None) -> np.ndarray:
+    def _block(self, name: str, nodes: slice) -> np.ndarray:
         """Series ``name`` at ``nodes``: a stored row's view or a formed block
-        of a rate or the naive readout; a cash account is no block of nodes.
-        ``formed`` keeps the blocks formed at these ``nodes``, which nothing
-        writes into, so the client's rate that the naive readout, the
-        broker's rate and a cash account each read is formed once."""
+        of a rate or the naive readout; a cash account is no block of nodes."""
         if name in self.rows or name == "q_trader_belief":
             return self[name][nodes]
-        if formed is None:
-            formed = {}
-        if name not in formed:
-            formed[name] = self._form(name, nodes, formed)
-        return formed[name]
-
-    def _form(self, name: str, nodes: slice, formed: dict) -> np.ndarray:
-        """Form the block of a rate or the naive readout at ``nodes``."""
         with np.errstate(over="ignore", invalid="ignore"):
             if name == "rate_trader":
                 f1, f2, f3 = (table[nodes, None] for table in self._trader)
@@ -472,25 +466,25 @@ class _Record(Mapping):
                 return eta
             if name == "alpha_hat_naive":
                 gamma = self._f3b[nodes, None] * self._block("q_trader_belief", nodes)
-                np.subtract(self._block("rate_trader", nodes, formed), gamma, out=gamma)
+                np.subtract(self._block("rate_trader", nodes), gamma, out=gamma)
                 gamma *= self._inv_f1b_c[nodes, None]
                 return gamma
             if name == "rate_broker":
                 first, *rest = self._active
-                nu = self.term(first, nodes, formed)
+                nu = self.term(first, nodes)
                 for j in rest:
-                    nu += self.term(j, nodes, formed)
+                    nu += self.term(j, nodes)
                 return nu
         raise KeyError(name)
 
-    def term(self, j: int, nodes: slice, formed: dict | None = None) -> np.ndarray:
+    def term(self, j: int, nodes: slice) -> np.ndarray:
         """Rule column ``j`` times the state it reads, at ``nodes``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._rule[j, nodes, None] * self._block(self._reads[j], nodes, formed)
+            return self._rule[j, nodes, None] * self._block(self._reads[j], nodes)
 
-    def _cost(self, rate: str, nodes: slice, formed: dict) -> np.ndarray:
+    def _cost(self, rate: str, nodes: slice) -> np.ndarray:
         """The trade cost of ``rate`` over the steps at ``nodes``."""
-        r = self._block(rate, nodes, formed)
+        r = self._block(rate, nodes)
         return _trade_costs(self._coef[rate], r, self.rows["price"][nodes], r * self._dt)
 
     def _cash(self, name: str) -> np.ndarray:
@@ -504,15 +498,14 @@ class _Record(Mapping):
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, steps, FORM_NODES):
                 nodes = slice(lo, min(lo + FORM_NODES, steps))
-                formed = {}
-                client = self._cost("rate_trader", nodes, formed)
+                client = self._cost("rate_trader", nodes)
                 np.negative(client, out=client)
                 if name == "cash_trader":
                     for now, nxt, pay in zip(out[lo:], out[lo + 1:], client):
                         np.add(now, pay, out=nxt)
                 else:
-                    own = self._cost("flow", nodes, formed)
-                    own -= self._cost("rate_broker", nodes, formed)
+                    own = self._cost("flow", nodes)
+                    own -= self._cost("rate_broker", nodes)
                     for now, nxt, flow, pay in zip(out[lo:], out[lo + 1:], own, client):
                         np.add(now, flow, out=nxt)
                         nxt -= pay
