@@ -352,7 +352,7 @@ def stress_runner(params: ModelParams, sweep: dict, grid, config, n_paths: int,
     optimal = replace(config, broker_mode="optimal")
     jobs += [(_Tables(params, stressed, bundle, trader_true=base.trader), optimal)
              for (_, _, stressed), bundle in zip(cells, bundles)]
-    results = _run_jobs(jobs, config.seed, grid.steps, n_paths, chunk_size)
+    results = _run_jobs(jobs, config.seed, n_paths, chunk_size)
 
     base_arms = dict(zip(BROKER_MODES, results))
     report = lambda per_arm, model: build_experiment_report(

@@ -2,35 +2,36 @@
 
 One Euler-Maruyama step advances price, signal, noise flow, both inventories,
 both cash accounts and the estimators, with controls held constant over each
-interval and computed from left-endpoint states.  Each estimator's update is
-folded, once per call, into a one-step affine map ``x' = c[k] x + gain[k]
-obs_k`` on its observation, and the broker's own flows are formed once for
-her account and the book.  At a few hundred paths the step loop is bound by
-the count of numpy calls per step, at a few thousand by the bytes they move.
-So it forms only what the arm reads: each of the broker's estimates runs only
-where the rule reads it, each filter also where the series are recorded, and
-their diagnostics come from the records.  A record stores only the states the
-step advances that have dynamics of their own; it forms the client's rate,
-the broker's rate, the naive readout and both cash accounts (each its start
-plus the running sum of the step's trade costs) on read with the step's
-operations, and the broker's belief of the client's inventory is that
-inventory unless the two can differ.  And quantities of one shape sit in
-``(rows, paths)`` blocks, so that one call forms the dt products, the
-absolute traded rates, the three trade costs or the loaded noise.  A block's per-row constants are spread to full shape
-rather than broadcast as a column, which numpy runs several times slower, and
-each value is formed with the operations of the row-by-row step, in its
-order, so the results are bit-identical to it.  The step stays elementwise: a
-BLAS matrix product rounds a path's values differently with the width of its
-chunk.  Paths are vectorised, and every path owns its own seeded random
-stream so results are independent of chunking; the streams are drawn in
-blocks of paths into one time-major buffer, which a recorded batch places
-inside its own record's last three stored series.  An experiment chunk fills
-its buffer ``NOISE_SLAB`` steps at a time and advances every arm over each
-slab, continuing each path's stream and each arm's state, so the results are
-also independent of the slab length.  An arm builds its set-up (rule table,
-spread constants, folded filter maps) on the chunk's first slab and keeps it
-with its state, so a later slab costs only its steps and its draw, and a
-short slab keeps the chunk's noise small.
+interval and computed from left-endpoint states.  Both agents trade by
+linear feedback, the client at rows ``(f1, f2, f3)`` on ``(signal, nu_hat,
+q_trader)`` and the broker at her rule's row on her state, and one function,
+``_feedback``, forms either rate.  ``_Tables`` forms once what reads only the
+parameter set, each estimator's update folded into a one-step affine map
+``x' = c[k] x + gain[k] obs_k`` on its observation among it.  At a few
+hundred paths the step loop is bound by the count of numpy calls per step,
+at a few thousand by the bytes they move.  So it forms only what the arm
+reads: each of the broker's estimates runs only where the rule reads it,
+each filter also where the series are recorded, and their diagnostics come
+from the records.  A record stores only the states the step advances that
+have dynamics of their own; it forms both rates, the naive readout and both
+cash accounts (each its start plus the running sum of the step's trade
+costs) on read with the step's operations, and the broker's belief of the
+client's inventory is that inventory unless the two can differ.  Quantities
+of one shape sit in ``(rows, paths)`` blocks, so that one call forms the dt
+products, the absolute traded rates, the three trade costs or the loaded
+noise.  A block's per-row constants are spread to full shape rather than
+broadcast as a column, which numpy runs several times slower, and each value
+is formed with the operations of the row-by-row step, in its order, so the
+results are bit-identical to it.  The step stays elementwise: a BLAS matrix
+product rounds a path's values differently with the width of its chunk.
+Paths are vectorised, and every path owns its own seeded random stream so
+results are independent of chunking; the streams are drawn in blocks of
+paths into one time-major buffer, which a recorded batch places inside its
+own record's last three stored series.  An experiment chunk fills its buffer
+``NOISE_SLAB`` steps at a time and advances every arm over each slab,
+continuing each path's stream and each arm's state, so the results are also
+independent of the slab length.  An arm builds its set-up (rule table and
+spread constants) on the chunk's first slab and keeps it with its state.
 
 Every broker rule (the optimal rate, its inventory-unwind fallback and the
 three benchmarks) is a time-varying linear feedback table on one state,
@@ -204,42 +205,55 @@ class PathResult:
 
 
 class _Tables:
-    """Grid-index arrays consumed by the stepper (plain ndarrays only).
+    """Grid-index arrays consumed by the stepper (plain ndarrays only), each
+    formed once per parameter set.
 
-    The trader side (his feedback loadings and speed-filter gain) comes from
-    ``trader_true``, or from the bundle's trader when it is None; everything
-    the broker computes — her feedback gains, her filters, and the loadings
-    she uses to invert the client's rate — comes from the bundle, solved
-    under ``params_model`` (the stress sweep's mispecified model).
+    The trader side (the client's feedback rows, his speed-filter gain and
+    its folded map) comes from ``trader_true``, or from the bundle's trader
+    when it is None; everything the broker computes — her feedback gains,
+    her filters and their folded maps, and the loadings she uses to invert
+    the client's rate — comes from the bundle, solved under
+    ``params_model`` (the stress sweep's mispecified model).  The cost
+    coefficients are the market's, ``params_true``'s.
     """
 
     def __init__(self, params_true: ModelParams, params_model: ModelParams,
                  bundle: CoefficientBundle, trader_true: TraderCoefficients | None = None):
         tr_model, br, fl = bundle.trader, bundle.broker, bundle.flow
         tr = trader_true if trader_true is not None else tr_model
+        p = params_true
         self.grid = tr.grid
-        # trader side (true dynamics of the client)
-        self.f1 = tr.f1.values
-        self.f2 = tr.f2.values
-        self.f3 = tr.f3.values
-        self.gain_nu = trader_filter_gain(tr.var_nu.values, params_true)
-        self.theta_trader = params_true.theta_speed
+        n, dt = self.grid.steps, self.grid.dt
+        # trader side (true dynamics of the client): his rate is the feedback
+        # rows (f1, f2, f3) on (signal, nu_hat, q_trader)
+        self.client = np.stack([tr.f1.values, tr.f2.values, tr.f3.values])
+        self.gain_nu = trader_filter_gain(tr.var_nu.values, p)
+        # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k: the
+        # speed filter observes dy = dprice - signal dt, the price filter dz =
+        # dprice - impact_dt nu and the flow filter ztil' - (1 + g6 dt) ztil -
+        # g9 dt nu
+        self.c_nu = 1.0 - p.theta_speed * dt - self.gain_nu * (p.perm_impact * dt)
         # broker side (her model of the client and of the signal)
-        self.f1_belief = tr_model.f1.values
         self.f3_belief = tr_model.f3.values
+        # the belief loadings vanish at the horizon: the naive readout reuses
+        # the last interior node, and multiplies by its reciprocal
+        self.inv_f1b_c = 1.0 / tr_model.f1.values[np.minimum(np.arange(n + 1), n - 1)]
         self.gain_price = price_filter_gain(br.var_alpha.values, params_model)
+        kappa_dt = params_model.kappa_signal * dt
+        self.c_price = 1.0 - kappa_dt - self.gain_price * dt
         self.gains = br.gains.values
-        self.kappa_model = params_model.kappa_signal
+        self.inv_scale = None
         if fl is not None:
             self.inv_scale = fl.inv_scale.values
-            self.g6 = fl.drift_obs.values
-            self.g7 = fl.drift_signal.values
-            self.g9 = fl.drift_rate.values
             self.gain_flow = (fl.drift_signal.values * fl.var_alt.values
                               + params_model.sigma_signal * fl.noise_mix.values)
-        else:
-            self.inv_scale = None
-        self.true = params_true
+            self.c_flow = 1.0 - kappa_dt - self.gain_flow * fl.drift_signal.values * dt
+            self.carry_ztil = 1.0 + fl.drift_obs.values * dt
+            self.g9_dt = fl.drift_rate.values * dt
+        # the cost coefficients of trading at (eta, nu, flow): the client's
+        # fee, the broker's temporary impact and the uninformed flow's fee
+        self.cost_coefs = (p.fee_informed, p.temp_impact, p.fee_uninformed)
+        self.true = p
 
 
 def _broker_rule(tables: _Tables, config: StrategyConfig) -> np.ndarray:
@@ -319,13 +333,12 @@ def _draw_noise(base_seed: int, path_indices, steps: int, out: np.ndarray | None
 def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) -> tuple:
     """What the step loop of one arm over ``m`` paths forms before its first
     step: the rule's table and the state columns it reads, which of the
-    broker's estimates run, the per-row constants spread over the paths and
-    each filter folded into its one-step map.  ``_simulate_core`` builds it
-    on a batch's first call and keeps it in ``carry`` for the later ones."""
+    broker's estimates run and the per-row constants spread over the paths.
+    ``_simulate_core`` builds it on a batch's first call and keeps it in
+    ``carry`` for the later ones; what reads only the parameter set, the
+    folded filter maps among it, ``_Tables`` holds."""
     p = tables.true
-    grid = tables.grid
-    n_steps = grid.steps
-    dt = grid.dt
+    dt = tables.grid.dt
     rule = _broker_rule(tables, config).T
     # the rate sums only the state columns the rule ever reads; each of the
     # broker's estimates runs only where the rule reads it, and each filter
@@ -349,30 +362,20 @@ def _arm_setup(tables: _Tables, config: StrategyConfig, record: bool, m: int) ->
     spread = lambda *rows: np.repeat(np.array(rows)[:, None], m, axis=1)
     loads = spread(p.sigma_price * sqdt, p.sigma_signal * rho_c * sqdt, p.sigma_flow * sqdt)
     decay = spread(1.0 - p.kappa_flow * dt, 1.0 - p.kappa_signal * dt)
-    cost_coef = spread(*_cost_coefs(p))
-    # each filter is a one-step affine map x' = c[k] x + gain[k] obs_k: the
-    # speed filter observes dy = dprice - signal dt, the price filter dz =
-    # dprice - impact_dt nu and the flow filter ztil' - (1 + g6 dt) ztil -
-    # g9 dt nu
-    c_nu = 1.0 - tables.theta_trader * dt - tables.gain_nu * (p.perm_impact * dt)
-    kappa_dt = tables.kappa_model * dt
-    c_price = 1.0 - kappa_dt - tables.gain_price * dt
-    c_flow = carry_ztil = g9_dt = None
-    if run_flow:
-        c_flow = 1.0 - kappa_dt - tables.gain_flow * tables.g7 * dt
-        carry_ztil = 1.0 + tables.g6 * dt
-        g9_dt = tables.g9 * dt
-    # the belief loadings vanish at the horizon: the naive readout reuses the
-    # last interior node, and multiplies by its reciprocal
-    inv_f1b_c = 1.0 / tables.f1_belief[np.minimum(np.arange(n_steps + 1), n_steps - 1)]
-    return (rule, active, source, run_price, run_flow, run_naive, loads, decay, cost_coef,
-            c_nu, c_price, c_flow, carry_ztil, g9_dt, inv_f1b_c)
+    cost_coef = spread(*tables.cost_coefs)
+    return rule, active, source, run_price, run_flow, run_naive, loads, decay, cost_coef
 
 
-def _cost_coefs(p: ModelParams) -> tuple:
-    """The cost coefficients of trading at (eta, nu, flow): the client's fee,
-    the broker's temporary impact and the uninformed flow's fee."""
-    return p.fee_informed, p.temp_impact, p.fee_uninformed
+def _feedback(terms, out=None) -> np.ndarray:
+    """A linear feedback rate: the sum of ``row * state`` over the ``(row,
+    state)`` pairs of ``terms``, added in their order.  The step passes each
+    table's value at one node, a record a column of them over a block of
+    nodes, so a formed rate equals the step's bit for bit."""
+    (row, state), *rest = terms
+    out = np.multiply(row, state, out=out)
+    for row, state in rest:
+        out += row * state
+    return out
 
 
 def _trade_costs(coef, rate, price, rate_dt, out=None) -> np.ndarray:
@@ -404,26 +407,24 @@ class _Record(Mapping):
     ``rows`` holds the stored series (``_stored_series``) and ``cash`` each
     path's starting cash of both accounts.  The client's rate, the naive
     readout and the broker's rate are formed on read, ``FORM_NODES`` nodes at
-    a time into one new array, from the stored series and the arm's set-up.
-    Each cash account is formed on read as its start plus the running sum,
-    node by node, of the trade costs (``_trade_costs``) of price and the
-    three rates, whose blocks are formed ``FORM_NODES`` nodes at a time.
-    Every formed series takes the step's operations in its order, so it
-    equals the value the step formed bit for bit; the broker's rate reads
-    only the series of the rule's active columns.  Each read forms a new
-    array from the stored rows as they are then; a membership test forms
-    nothing.
+    a time into one new array, from the stored series, the arm's rule and
+    the named tables of ``_Tables``; each rate is the step's own
+    ``_feedback`` over a block of nodes.  Each cash account is formed on
+    read as its start plus the running sum, node by node, of the trade
+    costs (``_trade_costs``) of price and the three rates, whose blocks are
+    formed ``FORM_NODES`` nodes at a time.  Every formed series takes the
+    step's operations in its order, so it equals the value the step formed
+    bit for bit; the broker's rate reads only the series of the rule's
+    active columns.  Each read forms a new array from the stored rows as
+    they are then; a membership test forms nothing.
     """
 
     def __init__(self, rows: dict, tables: _Tables, setup: tuple, cash: dict):
         self.rows = rows
         self.cash = cash
-        self._trader = (tables.f1, tables.f2, tables.f3)
-        self._f3b = tables.f3_belief
+        self._tables = tables
         self._rule, self._active, source = setup[:3]
-        self._inv_f1b_c = setup[-1]
-        self._dt = tables.grid.dt
-        self._coef = dict(zip(("rate_trader", "rate_broker", "flow"), _cost_coefs(tables.true)))
+        self._coef = dict(zip(("rate_trader", "rate_broker", "flow"), tables.cost_coefs))
         # the state each rule column reads, as in the step's y
         self._reads = ("q_broker", f"alpha_hat_{SIGNAL_SOURCES[source]}", "flow",
                        "q_trader_belief", "rate_trader")
@@ -459,22 +460,16 @@ class _Record(Mapping):
             return self[name][nodes]
         with np.errstate(over="ignore", invalid="ignore"):
             if name == "rate_trader":
-                f1, f2, f3 = (table[nodes, None] for table in self._trader)
-                eta = f1 * self.rows["signal"][nodes]
-                eta += f2 * self.rows["nu_hat"][nodes]
-                eta += f3 * self.rows["q_trader"][nodes]
-                return eta
+                states = (self.rows[state][nodes] for state in ("signal", "nu_hat", "q_trader"))
+                return _feedback(zip(self._tables.client[:, nodes, None], states))
             if name == "alpha_hat_naive":
-                gamma = self._f3b[nodes, None] * self._block("q_trader_belief", nodes)
+                gamma = self._tables.f3_belief[nodes, None] * self._block("q_trader_belief", nodes)
                 np.subtract(self._block("rate_trader", nodes), gamma, out=gamma)
-                gamma *= self._inv_f1b_c[nodes, None]
+                gamma *= self._tables.inv_f1b_c[nodes, None]
                 return gamma
             if name == "rate_broker":
-                first, *rest = self._active
-                nu = self.term(first, nodes)
-                for j in rest:
-                    nu += self.term(j, nodes)
-                return nu
+                return _feedback((self._rule[j, nodes, None], self._block(self._reads[j], nodes))
+                                 for j in self._active)
         raise KeyError(name)
 
     def term(self, j: int, nodes: slice) -> np.ndarray:
@@ -485,7 +480,8 @@ class _Record(Mapping):
     def _cost(self, rate: str, nodes: slice) -> np.ndarray:
         """The trade cost of ``rate`` over the steps at ``nodes``."""
         r = self._block(rate, nodes)
-        return _trade_costs(self._coef[rate], r, self.rows["price"][nodes], r * self._dt)
+        return _trade_costs(self._coef[rate], r, self.rows["price"][nodes],
+                            r * self._tables.grid.dt)
 
     def _cash(self, name: str) -> np.ndarray:
         """Cash account ``name``: node ``k + 1`` is node ``k`` plus step
@@ -558,15 +554,16 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     if not k0 < k1 <= n_steps or (carry is None and k1 < n_steps):
         raise ValueError(f"increments for steps {k0}..{k1} of a {n_steps}-step batch")
     setup = carry["setup"] if carry else _arm_setup(tables, config, record, m)
-    (rule, active, source, run_price, run_flow, run_naive, loads, decay, cost_coef,
-     c_nu, c_price, c_flow, carry_ztil, g9_dt, inv_f1b_c) = setup
+    rule, active, source, run_price, run_flow, run_naive, loads, decay, cost_coef = setup
     need_gamma = run_flow or run_naive
     load_sig0 = p.sigma_signal * p.rho * math.sqrt(dt)
     impact_dt = p.perm_impact * dt
-    f1, f2, f3 = tables.f1, tables.f2, tables.f3
-    f3b = tables.f3_belief
-    gain_nu, gain_price = tables.gain_nu, tables.gain_price
-    gain_flow, inv_scale = (tables.gain_flow, tables.inv_scale) if run_flow else (None, None)
+    f_client, f3b, inv_f1b_c = tables.client, tables.f3_belief, tables.inv_f1b_c
+    gain_nu, c_nu = tables.gain_nu, tables.c_nu
+    gain_price, c_price = tables.gain_price, tables.c_price
+    if run_flow:
+        gain_flow, inv_scale, c_flow = tables.gain_flow, tables.inv_scale, tables.c_flow
+        carry_ztil, g9_dt = tables.carry_ztil, tables.g9_dt
 
     if carry:                          # the batch where its last slab left it
         (price, price_next, x, acct_b, acct_i, belief, nu_hat, a_price, a_flow, probed, book,
@@ -616,7 +613,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
                 record_block = np.empty((len(stored), n_steps + 1, m))
             rec = _Record(dict(zip(stored, record_block)), tables, setup,
                           {"cash_broker": acct_b[0].copy(), "cash_trader": acct_i[0].copy()})
-        x[0] = f1[0] * x[3] + f2[0] * nu_hat + f3[0] * acct_i[1]
+        _feedback(zip(f_client[:, 0], (x[3], nu_hat, acct_i[1])), out=x[0])
         gamma = ztil = None
         if need_gamma:
             gamma = x[0] - f3b[0] * (acct_i[1] if belief is None else belief)
@@ -627,6 +624,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
     x_b, q_b = acct_b
     x_i, q_i = acct_i
     q_ib = q_i if belief is None else belief
+    client_y = (signal, nu_hat, q_i)   # the states the client's rate reads
 
     gap = np.empty((2, m))
     own = np.empty((2, m))             # the broker's own flow over a step
@@ -652,9 +650,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             if run_naive:
                 a_naive = gamma * inv_f1b_c[k]
             y = (q_b, (a_price, a_flow, a_naive)[source], flow, q_ib, eta)
-            np.multiply(rule[active[0], k], y[active[0]], out=nu)
-            for j in active[1:]:
-                nu += rule[j, k] * y[j]
+            _feedback([(rule[j, k], y[j]) for j in active], out=nu)
 
             if record:
                 now = dict(price=price, signal=signal, flow=flow, q_broker=q_b, q_trader=q_i,
@@ -710,9 +706,7 @@ def _simulate_core(tables: _Tables, config: StrategyConfig, eps: np.ndarray,
             signal += shocks[1]
             flow += shocks[2]
 
-            np.multiply(f1[k + 1], signal, out=eta)
-            eta += f2[k + 1] * nu_hat
-            eta += f3[k + 1] * q_i
+            _feedback(zip(f_client[:, k + 1], client_y), out=eta)
             if need_gamma:
                 gamma = f3b[k + 1] * q_ib
                 np.subtract(eta, gamma, out=gamma)
@@ -856,8 +850,9 @@ def filter_diagnostics(trader: TraderCoefficients, rec: dict) -> dict:
     }
 
 
-def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):
-    """Run every ``(tables, arm config)`` job on the same noise.
+def _run_jobs(jobs, base_seed: int, n_paths: int, chunk_size: int):
+    """Run every ``(tables, arm config)`` job on the same noise, over the
+    steps of the grid all their tables share.
 
     The chunks of paths run one after another on the calling thread.  A
     chunk draws its noise (path ``n`` from ``base_seed ^ n``) ``NOISE_SLAB``
@@ -869,6 +864,7 @@ def _run_jobs(jobs, base_seed: int, steps: int, n_paths: int, chunk_size: int):
     metrics dict per job, in job order, with the chunks concatenated in path
     order.  The caller has checked the counts.
     """
+    steps, = {tables.grid.steps for tables, _ in jobs}
     buffer = np.empty(min(NOISE_SLAB, steps) * 3 * min(chunk_size, n_paths))
     sliced = steps > NOISE_SLAB
 
@@ -902,7 +898,8 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
     Every chunk of paths runs once per strategy arm on the same Gaussian
     increments (seed ``base_seed ^ index``; ``base_seed`` replaces
     ``config.seed``).  ``bundle`` is built from ``params`` when not given,
-    with the flow filter's tables only for a flow config.  Returns an
+    with the flow filter's tables only for a flow config; a given bundle
+    must have been solved on ``grid``.  Returns an
     :class:`~brokergame.analytics.ExperimentReport` plus the raw per-path
     metric arrays keyed by arm name.  ``threads`` is accepted and ignored
     until the benchmark's workloads stop passing it.
@@ -914,10 +911,11 @@ def run_experiment(params: ModelParams, grid: TimeGrid, config: StrategyConfig,
     _check_counts(n_paths=n_paths, chunk_size=chunk_size)
     if bundle is None:
         bundle = build_coefficients(params, grid, config.signal_source == "flow")
+    elif bundle.trader.grid != grid:
+        raise ValidationError(f"bundle solved on {bundle.trader.grid}, not on {grid}")
     tables = _Tables(params, params, bundle)
     jobs = [(tables, replace(config, broker_mode=arm)) for arm in BROKER_MODES]
-    per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, config.seed, grid.steps, n_paths,
-                                               chunk_size)))
+    per_arm = dict(zip(BROKER_MODES, _run_jobs(jobs, config.seed, n_paths, chunk_size)))
     report = build_experiment_report(per_arm, params=params, model_params=params, config=config)
     return report, per_arm
 

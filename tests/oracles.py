@@ -86,3 +86,42 @@ def broker_hjb_residuals(params, trader, broker):
     hjb_rel = np.abs(resid).max(axis=(1, 2)) / np.abs(dg).max(axis=(1, 2))
     inner = broker.grid.times[1:-1] <= 0.9
     return float(foc_rel.max()), float(hjb_rel[inner].max())
+
+
+def trader_hjb_residuals(params, trader):
+    """The client's first-order condition (worst absolute gap of each
+    loading, over the largest loading, all nodes) and the three rows of his
+    HJB that carry the inventory (worst residual by central differences over
+    the largest derivative, t <= 0.9), written from the model's dynamics,
+    not from the solver's right-hand side.
+
+    With value ``X + q S + q (z1 alpha + z2 nu_hat) + q^2 g2 + g0(alpha,
+    nu_hat)``, the client paying ``S + b eta`` per unit, the price drifting
+    at ``p nu_hat + alpha`` in his filtration, ``alpha`` decaying at ``kappa``,
+    ``nu_hat`` at ``theta`` and a running penalty ``phi q^2``, his rate is
+    the maximiser ``(z1 alpha + z2 nu_hat + 2 q g2) / (2 b)`` and the
+    supremum ``(z1 alpha + z2 nu_hat + 2 q g2)^2 / (4 b)`` gives, on ``q^2``,
+    ``q alpha`` and ``q nu_hat`` with ``z2 = p unit``:
+
+    - ``g2' + g2^2 / b - phi = 0``;
+    - ``z1' = kappa z1 - z1 g2 / b - 1``;
+    - ``unit' = theta unit - unit g2 / b - 1``.
+
+    Returns ``(foc, {"g2": ..., "z1": ..., "unit": ...})``.
+    """
+    b, p = params.fee_informed, params.perm_impact
+    g2, z1, unit = trader.g2.values, trader.z1.values, trader.unit.values
+    loadings = ((trader.f1.values, z1 / (2.0 * b)), (trader.f2.values, p * unit / (2.0 * b)),
+                (trader.f3.values, g2 / b))
+    foc = max(np.abs(f - rate).max() / np.abs(f).max() for f, rate in loadings)
+
+    phi = params.phi0_trader + params.phi1_trader * trader.var_nu.values
+    rhs = {"g2": phi - g2 * g2 / b,
+           "z1": params.kappa_signal * z1 - z1 * g2 / b - 1.0,
+           "unit": params.theta_speed * unit - unit * g2 / b - 1.0}
+    inner = trader.grid.times[1:-1] <= 0.9
+    rows = {}
+    for name, y in (("g2", g2), ("z1", z1), ("unit", unit)):
+        dy = ((y[2:] - y[:-2]) / (2.0 * trader.grid.dt))[inner]
+        rows[name] = float(np.abs(dy - rhs[name][1:-1][inner]).max() / np.abs(dy).max())
+    return float(foc), rows

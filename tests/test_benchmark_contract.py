@@ -61,22 +61,27 @@ def test_block_dev_is_a_finite_float():
 def test_traced_runs_count_every_path_step():
     # the traced run binds the step loop's config, eps and record to name its
     # spans and count its path steps; a step loop it cannot bind would leave
-    # the traced stress sweep's conservation-gap gate empty.  On a grid longer
-    # than a slab each arm runs over several calls, whose eps add up to it
+    # the traced stress sweep's conservation-gap gate empty and path-bands
+    # without its step-loop metrics.  On a grid longer than a slab each arm
+    # of an experiment runs over several calls, whose eps add up to it; a
+    # recorded batch runs in one
     tracing = _tracing()
     params = bg.DEFAULT_PARAMS
+    arm_spans = [f"sim.step_loop_s.{arm}" for arm in tracing.ARMS]
     for steps in (50, 2 * bg.sim.NOISE_SLAB + 3):
         grid = bg.TimeGrid(1.0, steps)
         bundle = bg.build_coefficients(params, grid)
         runs = (
-            (4 * 6, lambda: bg.sim.run_experiment(params, grid,
-                                                  bg.StrategyConfig(signal_source="flow"), 6,
-                                                  base_seed=3, bundle=bundle, chunk_size=4)),
-            ((4 + 2) * 5, lambda: bg.analytics.stress_runner(
+            (4 * 6, arm_spans, lambda: bg.sim.run_experiment(
+                params, grid, bg.StrategyConfig(signal_source="flow"), 6, base_seed=3,
+                bundle=bundle, chunk_size=4)),
+            ((4 + 2) * 5, arm_spans, lambda: bg.analytics.stress_runner(
                 params, {"kappa_signal": [0.5, 1.5]}, grid, bg.StrategyConfig(), 5,
                 base_seed=3)),
+            (7, ["sim.step_loop_record_s"], lambda: bg.sim.simulate_recorded(
+                params, bundle, bg.StrategyConfig(), 7, 3)),
         )
-        for path_arms, run in runs:
+        for path_arms, spans, run in runs:
             tracer = tracing.Tracer()
             with tracer.hooks():
                 run()
@@ -84,7 +89,7 @@ def test_traced_runs_count_every_path_step():
             assert tracer.counts["sim.path_steps"] == path_arms * steps
             assert tracer.counts["sim.blown_path_arms"] == 0
             metrics = tracer.metrics()
-            assert all(metrics[f"sim.step_loop_s.{arm}"] > 0.0 for arm in tracing.ARMS)
+            assert all(metrics[span] > 0.0 for span in spans)
             assert tracer.health["max_inventory_gap"] < 1e-8
 
 

@@ -32,7 +32,9 @@ def test_zero_noise_zero_state_fixed_point(grid200):
 
 def test_estimators_follow_their_filter_recursions(params, grid200, bundle200):
     # each estimator on a recorded path, rebuilt node by node from the other
-    # recorded series and the arrays the step loop reads; no mean starts at 0
+    # recorded series, the model's parameters and the bundle's tables; the
+    # gains the step loop reads are checked against their formulas first; no
+    # mean starts at 0
     tr, br, fl = bundle200.trader, bundle200.broker, bundle200.flow
     tb = _Tables(params, params, bundle200)
     p, n, dt = params, grid200.steps, grid200.dt
@@ -51,23 +53,24 @@ def test_estimators_follow_their_filter_recursions(params, grid200, bundle200):
 
         nu_hat = r.nu_hat[:-1]
         dy = dprice - r.signal[:-1] * dt
-        close(r.nu_hat[1:], nu_hat - tb.theta_trader * nu_hat * dt
+        close(r.nu_hat[1:], nu_hat - p.theta_speed * nu_hat * dt
               + tb.gain_nu[:-1] * (dy - p.perm_impact * nu_hat * dt))
 
         a = r.alpha_hat_price[:-1]
         dz = dprice - p.perm_impact * nu * dt
-        close(r.alpha_hat_price[1:], a - tb.kappa_model * a * dt
+        close(r.alpha_hat_price[1:], a - p.kappa_signal * a * dt
               + tb.gain_price[:-1] * (dz - a * dt))
 
-        gamma = r.rate_trader - tb.f3_belief * r.q_trader_belief
-        ztil = gamma * tb.inv_scale
+        gamma = r.rate_trader - tr.f3.values * r.q_trader_belief
+        ztil = gamma * fl.inv_scale.values
         a = r.alpha_hat_flow[:-1]
-        dzf = np.diff(ztil) - (tb.g6[:-1] * ztil[:-1] + tb.g9[:-1] * nu) * dt
-        close(r.alpha_hat_flow[1:], a - tb.kappa_model * a * dt
-              + tb.gain_flow[:-1] * (dzf - tb.g7[:-1] * a * dt))
+        g6, g7, g9 = fl.drift_obs.values, fl.drift_signal.values, fl.drift_rate.values
+        dzf = np.diff(ztil) - (g6[:-1] * ztil[:-1] + g9[:-1] * nu) * dt
+        close(r.alpha_hat_flow[1:], a - p.kappa_signal * a * dt
+              + tb.gain_flow[:-1] * (dzf - g7[:-1] * a * dt))
 
         # the naive readout divides by the last interior loading at the horizon
-        close(r.alpha_hat_naive, gamma / tb.f1_belief[last])
+        close(r.alpha_hat_naive, gamma / tr.f1.values[last])
 
 
 def test_dynamics_follow_the_model_equations(params, grid200):
@@ -485,7 +488,7 @@ def _kernel_values(tables, config, eps, q0, init, record):
         if gamma is None:
             naive = None
         else:
-            naive[k + 1] = gamma * carry["setup"][-1][k + 1]
+            naive[k + 1] = gamma * tables.inv_f1b_c[k + 1]
     return eta, nu, naive, cash_b, cash_i, carry["setup"]
 
 
@@ -531,15 +534,15 @@ def test_formed_series_equal_the_kernels_own_values(mode, source):
                 assert same(rec["alpha_hat_naive"][1:], naive[1:]), (case, record)
             else:
                 assert not (record or source == "naive" and mode == "optimal")
-        rule, active, inv_f1b_c = setup[0], setup[1], setup[-1]
+        rule, active = setup[:2]
         columns = (rec["q_broker"], (rec["alpha_hat_price"], rec["alpha_hat_flow"], naive)[
             SIGNAL_SOURCES.index(source)], rec["flow"], rec["q_trader_belief"], eta)
+        f1, f2, f3 = map(float, tables.client[:, 0])
         for i in range(m):
-            eta0 = (float(tables.f1[0]) * float(rec["signal"][0, i])
-                    + float(tables.f2[0]) * float(rec["nu_hat"][0, i])
-                    + float(tables.f3[0]) * float(rec["q_trader"][0, i]))
+            eta0 = (f1 * float(rec["signal"][0, i]) + f2 * float(rec["nu_hat"][0, i])
+                    + f3 * float(rec["q_trader"][0, i]))
             naive0 = ((eta0 - float(tables.f3_belief[0]) * float(rec["q_trader_belief"][0, i]))
-                      * float(inv_f1b_c[0]))
+                      * float(tables.inv_f1b_c[0]))
             terms = [float(rule[j, steps - 1]) * float(columns[j][steps - 1, i]) for j in active]
             nu_last = terms[0]
             for term in terms[1:]:
@@ -696,6 +699,20 @@ def test_run_experiment_rejects_empty_runs_and_chunks(params, grid200, bundle200
     with pytest.raises(bg.ValidationError, match=">= 1"):
         bg.run_experiment(params, grid200, bg.StrategyConfig(), n_paths, base_seed=5,
                           bundle=bundle200, chunk_size=chunk_size)
+
+
+def test_run_experiment_rejects_a_bundle_of_another_grid(params, bundle200):
+    # the run takes its steps from grid and its tables from bundle: a bundle
+    # solved on a shorter, longer or longer-horizon grid raises instead of
+    # running some other horizon, and an equal grid built anew runs
+    config = bg.StrategyConfig()
+    for grid in (bg.TimeGrid(1.0, 100), bg.TimeGrid(2.0, 200), bg.TimeGrid(1.0, 40),
+                 bg.TimeGrid(1.0, 300)):
+        with pytest.raises(bg.ValidationError, match=re.escape(f"not on {grid}")):
+            bg.run_experiment(params, grid, config, 20, base_seed=3, bundle=bundle200)
+    _, per_arm = bg.run_experiment(params, bg.TimeGrid(1.0, 200), config, 20, base_seed=3,
+                                   bundle=bundle200)
+    assert per_arm["optimal"]["wealth_broker"].shape == (20,)
 
 
 def _assert_same_arms(got, expect, label):
